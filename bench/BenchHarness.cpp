@@ -67,7 +67,7 @@ std::vector<NamedEngine> flapbench::fig11Engines(EngineSet &E) {
                        .ok();
                  }});
   // (b) menhir+table: same algorithm class; measured as a second run of
-  // the LALR table driver (documented in EXPERIMENTS.md).
+  // the LALR table driver (see bench/README.md).
   Out.push_back({"menhir+table", Out.back().Run});
   // (c) menhir+code proxy: direct-coded recursive descent over tokens.
   Out.push_back({"menhir+code", [&E, Fresh](std::string_view In) {

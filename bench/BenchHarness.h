@@ -8,11 +8,11 @@
 /// \file
 /// Builds every engine of the paper's evaluation (§6) for a benchmark
 /// grammar and measures throughput. Engine naming follows Fig. 11, with
-/// this repository's proxy mapping (see DESIGN.md §4):
+/// this repository's proxy mapping (see bench/README.md):
 ///
 ///   ocamlyacc     → LALR(1) tables over a materialized token stream
 ///   menhir+table  → same LALR tables (menhir's table mode is the same
-///                   algorithm class; reported once, see EXPERIMENTS.md)
+///                   algorithm class; reported once)
 ///   menhir+code   → direct-coded recursive descent over tokens
 ///   flap          → the staged fused machine
 ///   normalized    → flap-normalized DGNF + pull lexer (unfused), (g)

@@ -78,7 +78,7 @@ int main(int argc, char **argv) {
   std::printf("Fig. 11 — Parser throughput (MB/s); corpus ~%.1f MB per "
               "grammar (synthetic, seed 1)\n",
               Bytes / 1e6);
-  std::printf("Proxy mapping: see DESIGN.md §4 / EXPERIMENTS.md.\n\n");
+  std::printf("Proxy mapping: see bench/README.md.\n\n");
 
   Panel Table, Rec;
   std::vector<std::string> ParseOrder, RecOrder;
@@ -109,7 +109,7 @@ int main(int argc, char **argv) {
   // Panel B: recognition only — the closer analogue of the paper's
   // measurement conditions, where MetaOCaml inlines semantic actions
   // into the generated code (our portable engines pay an indirect call
-  // per action, which compresses panel-A ratios; see EXPERIMENTS.md).
+  // per action, which compresses panel-A ratios; see bench/README.md).
   std::printf("\nRecognition-only throughput (MB/s; no semantic "
               "values):\n");
   // "flap codegen" needs a working system compiler, so it can be absent

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The token-level engines of the paper's evaluation, §6 (see DESIGN.md
-/// for the proxy mapping):
+/// The token-level engines of the paper's evaluation, §6 (bench/README.md
+/// lists the proxy mapping):
 ///
 ///  - RdTokenParser    — recursive descent over a materialized token
 ///                       vector, direct per-nonterminal dispatch: the

@@ -14,6 +14,9 @@
 
 #include "cfe/Action.h"
 
+#include <cstdlib>
+#include <new>
+
 using namespace flap;
 
 void ValueStack::grow(size_t Need) {
@@ -22,13 +25,12 @@ void ValueStack::grow(size_t Need) {
   size_t NewCap = Cap ? Cap * 2 : 64;
   while (NewCap < Len + Need)
     NewCap *= 2;
-  Value *NB =
-      static_cast<Value *>(::operator new(NewCap * sizeof(Value)));
-  for (size_t I = 0; I < Len; ++I) {
-    ::new (static_cast<void *>(NB + I)) Value(std::move(Base[I]));
-    Base[I].~Value();
-  }
-  ::operator delete(Base);
+  // A Value is trivially relocatable, so realloc may move the bytes (or
+  // remap a large block's pages) without running any Value code.
+  Value *NB = static_cast<Value *>(std::realloc(
+      static_cast<void *>(Base), NewCap * sizeof(Value)));
+  if (!NB)
+    throw std::bad_alloc();
   Base = NB;
   Top = NB + Len;
   End = NB + NewCap;
@@ -67,7 +69,6 @@ Value ValueStack::applySlow(const Action &A, ParseContext &Ctx,
 
 void ActionTable::buildRefs() const {
   RefFns.resize(Actions.size());
-  static const ValuePoolRef NoPool; // reference path never pools
   for (size_t I = 0; I < Actions.size(); ++I) {
     const Action &A = Actions[I];
     switch (A.Kind) {
@@ -122,7 +123,7 @@ void ActionTable::buildRefs() const {
     case ActionKind::ListPush: {
       int Sel = A.Sel;
       RefFns[I] = [Sel](ParseContext &, Value *Args) {
-        return Value::listAppend(NoPool, std::move(Args[Sel]),
+        return Value::listAppend(nullptr, std::move(Args[Sel]),
                                  std::move(Args[1 - Sel]));
       };
       break;

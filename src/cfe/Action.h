@@ -10,7 +10,7 @@
 /// dense ids from CFE nodes, grammar productions and compiled machines.
 /// An action of arity k pops k values from the engine's value stack and
 /// pushes exactly one result — the "net +1" discipline that lets actions
-/// survive DGNF normalization as ε-marker symbols (see DESIGN.md §3).
+/// survive DGNF normalization as ε-marker symbols (core/Grammar.h).
 ///
 /// Dispatch is *devirtualized*: an Action is a tagged record (ActionKind
 /// + small immediates) executed by a switch in ValueStack::apply, not a
@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cassert>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -61,14 +62,15 @@ namespace flap {
 /// every span reachable from an action's arguments at apply time —
 /// *provided* the action declares ReadsInput (see Action below).
 ///
-/// Pool is the parse's value arena (may be null): pair/list-building
-/// actions route node allocation through it via the pool-backed Value
+/// Pool is the parse's value arena (may be null), borrowed from the
+/// scratch or stream that holds its handle: pair/list-building actions
+/// route node allocation through it via the pool-backed Value
 /// constructors.
 struct ParseContext {
   std::string_view Input;
   void *User = nullptr;
   uint64_t Base = 0;
-  ValuePoolRef Pool;
+  ValuePool *Pool = nullptr;
 
   /// The input byte at absolute offset \p AbsOff.
   char at(uint64_t AbsOff) const {
@@ -479,7 +481,8 @@ private:
 /// resize/erase paths cost more than the operations themselves. Here a
 /// push is a capacity compare plus a 16-byte move, and an arity-k
 /// micro-op destroys k-1 slots and overwrites one, with no size
-/// bookkeeping beyond the Top pointer.
+/// bookkeeping beyond the Top pointer. A Value is trivially relocatable
+/// (16 bytes, no self-reference), so growing is one realloc.
 class ValueStack {
 public:
   ValueStack() = default;
@@ -497,7 +500,7 @@ public:
   }
   ~ValueStack() {
     clear();
-    ::operator delete(Base);
+    std::free(Base);
   }
 
   void push(Value V) {

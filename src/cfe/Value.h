@@ -12,16 +12,21 @@
 /// evaluate actions over this Value type so differential tests can compare
 /// full results, not just accept/reject.
 ///
-/// Scalars (unit, bool, int, double, token spans) are unboxed; strings,
-/// pairs and lists are shared immutable heap nodes. Pair and list nodes
-/// can optionally come from a ValuePool — a freelist arena owned by the
-/// per-parse scratch — so the hot loop builds structure without touching
-/// the global allocator. Pooled and heap values are indistinguishable
-/// through the API (same shared_ptr discipline, same structural
-/// equality); a value escaping its parse (StreamParser::take(), a parse
-/// result outliving its ParseScratch) keeps the pool pages alive through
-/// the nodes' shared ownership. See engine/README.md "Arena-pooled
-/// values" for the lifetime rules.
+/// A Value is 16 bytes: a tag, a token id and an 8-byte payload. Scalars
+/// (unit, bool, int, double, token spans) are unboxed; strings, pairs and
+/// lists point at an immutable *intrusive node*: a 16-byte header
+/// {reference count, owning ValuePool*} followed by the payload. Moving a
+/// Value is a plain 16-byte copy, so value stacks grow with realloc.
+///
+/// Heap nodes (pool == null; e.g. grammar constants shared by concurrent
+/// parses) count references atomically. Pooled nodes come from a
+/// ValuePool — a freelist arena owned by the per-parse scratch — and,
+/// under the pool's single-owner rule, count with plain integers. A pool
+/// stays alive while any handle (ValuePoolRef) or any live node of it
+/// exists, so a value escaping its parse (StreamParser::take(), a result
+/// outliving its ParseScratch) keeps its pool's pages alive. Pooled and
+/// heap values are indistinguishable through the API (same structural
+/// equality). See engine/README.md "Arena-pooled values".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,10 +35,8 @@
 
 #include "lexer/Token.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <cstring>
-#include <new>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -41,37 +44,43 @@
 #include <vector>
 
 #ifndef NDEBUG
-#include <atomic>
 #include <thread>
 #endif
 
 namespace flap {
 
 class Value;
+class ValuePoolRef;
 using ValuePair = std::pair<Value, Value>;
 using ValueList = std::vector<Value>;
 
-/// A freelist arena for pair/list nodes (control block + payload are
-/// co-located by allocate_shared). One pool per parse scratch; nodes
-/// recycle through their size-class freelist as values die, so a scratch
-/// reused across parses amortizes to zero allocation.
+/// A freelist arena of fixed-size slots for pair/list nodes. One pool per
+/// parse scratch; nodes recycle through the freelist as values die, so a
+/// scratch reused across parses amortizes to zero allocation. Always
+/// heap-allocated through create() and held by ValuePoolRef handles; the
+/// pool deletes itself once no handle and no live node is left (the live
+/// nodes together hold one handle, taken when the first is allocated and
+/// dropped when the last dies — the *live-node pin*).
 ///
 /// Not thread-safe. The ownership rule is *single owner at a time*: at
-/// any moment exactly one thread may allocate from or deallocate into a
-/// pool — and since every pooled value destroys into its pool's
-/// freelist, that covers destroying values built from it. Ownership may
+/// any moment exactly one thread may allocate from the pool, copy a value
+/// built from it, or destroy such a value (pooled nodes count references
+/// with plain integers and die into the pool's freelist). Ownership may
 /// move between threads, but only across a synchronization point (a
-/// joined task, a mutex-guarded handoff — see engine/Serve.h's pool
-/// bank and engine/Shard.h's per-worker arenas), and the new owner
-/// announces itself with adoptOwner(). Assert-enabled builds (every
-/// preset here) enforce the rule: allocate/deallocate from a thread that
-/// neither adopted the pool nor created it aborts with the owner check
-/// below rather than racing the freelist.
+/// joined task, a mutex-guarded handoff — see engine/Serve.h's pool bank
+/// and engine/Shard.h's per-worker arenas), and the new owner announces
+/// itself with adoptOwner(). Assert-enabled builds (every preset here)
+/// check the rule on allocate/deallocate: a thread that neither adopted
+/// the pool nor created it aborts rather than racing the freelist.
 class ValuePool {
 public:
-  ValuePool() = default;
+  /// Slot size: the largest pooled node (header + ValuePair).
+  static constexpr size_t SlotBytes = 48;
+
   ValuePool(const ValuePool &) = delete;
   ValuePool &operator=(const ValuePool &) = delete;
+
+  static ValuePoolRef create();
 
   /// Declares the calling thread the pool's owner. Call at a transfer
   /// point, after the previous owner's accesses have been synchronized
@@ -91,66 +100,51 @@ public:
 #endif
   }
 
-  void *allocate(size_t Bytes) {
+  /// One SlotBytes slot. The caller must hold a handle (or a live node).
+  void *allocate() {
     checkOwner();
-    SizeClass *C = classOf(Bytes);
-    if (!C)
-      return ::operator new(Bytes);
-    if (C->Free) {
-      FreeNode *N = C->Free;
-      C->Free = N->Next;
-      return N;
+    void *P;
+    if (Free) {
+      P = Free;
+      Free = Free->Next;
+    } else {
+      if (Left < SlotBytes) {
+        Pages.push_back(std::make_unique<char[]>(PageBytes));
+        Cur = Pages.back().get();
+        Left = PageBytes;
+      }
+      P = Cur;
+      Cur += SlotBytes;
+      Left -= SlotBytes;
     }
-    size_t Need = align(Bytes);
-    if (Left < Need) {
-      Pages.push_back(std::make_unique<char[]>(PageBytes));
-      Cur = Pages.back().get();
-      Left = PageBytes;
-    }
-    void *P = Cur;
-    Cur += Need;
-    Left -= Need;
+    if (Live++ == 0)
+      retain(); // the live-node pin
     return P;
   }
 
-  void deallocate(void *P, size_t Bytes) noexcept {
+  /// Returns a slot. May delete the pool (the last node of a pool with no
+  /// handle left), so it is the caller's last touch of it.
+  void deallocate(void *P) noexcept {
     checkOwner();
-    SizeClass *C = classOf(Bytes);
-    if (!C) {
-      ::operator delete(P);
-      return;
-    }
     FreeNode *N = static_cast<FreeNode *>(P);
-    N->Next = C->Free;
-    C->Free = N;
+    N->Next = Free;
+    Free = N;
+    if (--Live == 0)
+      release();
   }
 
   size_t pageCount() const { return Pages.size(); }
+  /// Nodes allocated and not yet returned (owner thread only).
+  size_t liveNodes() const { return Live; }
 
 private:
-  struct FreeNode {
-    FreeNode *Next;
-  };
-  struct SizeClass {
-    size_t Bytes = 0;
-    FreeNode *Free = nullptr;
-  };
+  friend class ValuePoolRef;
+  ValuePool() = default;
 
-  static size_t align(size_t Bytes) { return (Bytes + 15) & ~size_t(15); }
-
-  /// The size class for \p Bytes, or nullptr when the request must take
-  /// the plain heap (oversized, or more distinct node sizes than the
-  /// table holds — deterministic per size, so deallocate agrees).
-  SizeClass *classOf(size_t Bytes) {
-    if (Bytes > PageBytes / 8)
-      return nullptr;
-    for (size_t I = 0; I < NumClasses; ++I)
-      if (Classes[I].Bytes == Bytes)
-        return &Classes[I];
-    if (NumClasses == MaxClasses)
-      return nullptr;
-    Classes[NumClasses].Bytes = Bytes;
-    return &Classes[NumClasses++];
+  void retain() noexcept { Handles.fetch_add(1, std::memory_order_relaxed); }
+  void release() noexcept {
+    if (Handles.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      delete this;
   }
 
   /// The owner-affinity assert: the caller must be the owning thread.
@@ -166,15 +160,20 @@ private:
         Owner.compare_exchange_strong(Cur, Self, std::memory_order_relaxed))
       return;
     assert(false && "ValuePool touched off its owning thread: values "
-                    "built from a pool must be destroyed on the thread "
-                    "that owns it (adoptOwner at transfer points)");
+                    "built from a pool must be copied and destroyed on "
+                    "the thread that owns it (adoptOwner at transfer "
+                    "points)");
 #endif
   }
 
+  struct FreeNode {
+    FreeNode *Next;
+  };
+
   static constexpr size_t PageBytes = 16 * 1024;
-  static constexpr size_t MaxClasses = 6;
-  SizeClass Classes[MaxClasses];
-  size_t NumClasses = 0;
+  std::atomic<size_t> Handles{0}; ///< ValuePoolRefs + the live-node pin
+  size_t Live = 0;                ///< live nodes (owner thread only)
+  FreeNode *Free = nullptr;
   std::vector<std::unique_ptr<char[]>> Pages;
   char *Cur = nullptr;
   size_t Left = 0;
@@ -183,51 +182,46 @@ private:
 #endif
 };
 
-/// Shared handle to a pool; nodes' control blocks hold a copy, so escaped
-/// values pin the pages.
-using ValuePoolRef = std::shared_ptr<ValuePool>;
-
-/// Minimal allocator over a ValuePool for allocate_shared. A null pool
-/// falls through to the global heap (both sides of the pair must agree,
-/// which they do: the pool handle is fixed per allocation).
-template <typename T> struct PoolAlloc {
-  using value_type = T;
-
-  ValuePoolRef Pool;
-
-  explicit PoolAlloc(ValuePoolRef P) : Pool(std::move(P)) {}
-  template <typename U>
-  PoolAlloc(const PoolAlloc<U> &O) : Pool(O.Pool) {}
-
-  T *allocate(size_t N) {
-    if (N == 1 && Pool)
-      return static_cast<T *>(Pool->allocate(sizeof(T)));
-    return std::allocator<T>().allocate(N);
+/// Owning handle to a pool (atomic count; copied once per scratch or
+/// reply, never per node). Converts to the borrowed ValuePool* that
+/// ParseContext and the pool-backed constructors take.
+class ValuePoolRef {
+public:
+  ValuePoolRef() = default;
+  ValuePoolRef(const ValuePoolRef &O) : P(O.P) {
+    if (P)
+      P->retain();
   }
-  void deallocate(T *P, size_t N) noexcept {
-    if (N == 1 && Pool)
-      Pool->deallocate(P, sizeof(T));
-    else
-      std::allocator<T>().deallocate(P, N);
+  ValuePoolRef(ValuePoolRef &&O) noexcept : P(O.P) { O.P = nullptr; }
+  ValuePoolRef &operator=(ValuePoolRef O) noexcept {
+    std::swap(P, O.P);
+    return *this;
   }
+  ~ValuePoolRef() { reset(); }
 
-  template <typename U> bool operator==(const PoolAlloc<U> &O) const {
-    return Pool == O.Pool;
+  void reset() noexcept {
+    if (P)
+      std::exchange(P, nullptr)->release();
   }
-  template <typename U> bool operator!=(const PoolAlloc<U> &O) const {
-    return Pool != O.Pool;
-  }
+  ValuePool *get() const { return P; }
+  ValuePool *operator->() const { return P; }
+  operator ValuePool *() const { return P; }
+
+private:
+  friend class ValuePool;
+  explicit ValuePoolRef(ValuePool *Fresh) : P(Fresh) { P->retain(); }
+  ValuePool *P = nullptr;
 };
+
+inline ValuePoolRef ValuePool::create() { return ValuePoolRef(new ValuePool); }
 
 /// A dynamically-typed semantic value.
 ///
 /// Representation: a hand-rolled tagged union, not std::variant. The
-/// value stack moves/destroys millions of these per parse, and the
-/// variant's visit-based special members were the single largest cost of
-/// panel A after action devirtualization: a scalar move is a 16-byte
-/// copy and a scalar destroy a single compare here. All boxed kinds
-/// (string/pair/list) share one type-erased shared_ptr slot — the tag
-/// recovers the payload type, the control block knows the real deleter.
+/// value stack moves/destroys millions of these per parse: a move is a
+/// 16-byte copy and a scalar destroy a single compare here. All boxed
+/// kinds (string/pair/list) share one node pointer — the tag recovers the
+/// payload type.
 class Value {
   enum class Tag : uint8_t {
     Unit,
@@ -240,157 +234,144 @@ class Value {
     Pair,
     List
   };
-  using BoxPtr = std::shared_ptr<const void>;
+
+  /// The intrusive node header. A dead node's count is reused as the
+  /// teardown worklist link (destroyNode).
+  struct Node {
+    union {
+      size_t Refs; ///< plain when pooled, atomic (builtins) when heap
+      Node *Next;
+    };
+    ValuePool *Pool; ///< null for a heap node
+    explicit Node(ValuePool *P) : Refs(1), Pool(P) {}
+  };
+  template <typename P> struct Box : Node {
+    P Payload;
+    template <typename... A>
+    explicit Box(ValuePool *Pool, A &&...Args)
+        : Node(Pool), Payload(std::forward<A>(Args)...) {}
+  };
 
   Tag T = Tag::Unit;
+  TokenId Tok = NoToken; ///< Token tag only
   union Rep {
-    Rep() : I(0) {}
-    ~Rep() {} // managed by Value
-    bool B;
     int64_t I;
+    uint64_t Span; ///< Token: Begin | End << 32, built in one register
+    bool B;
     double D;
-    Lexeme L;
-    BoxPtr P;
-  } R;
+    Node *N;
+  } R{0};
 
+  explicit Value(Tag Tg) : T(Tg) {}
   bool hasPtr() const { return T >= Tag::Str; }
 
-  Value(Tag T_, BoxPtr P) : T(T_) { new (&R.P) BoxPtr(std::move(P)); }
+  template <typename P, typename... A>
+  static Value box(Tag Tg, ValuePool *Pool, A &&...Args) {
+    static_assert(sizeof(Box<P>) <= ValuePool::SlotBytes, "slot too small");
+    void *Mem = Pool ? Pool->allocate() : ::operator new(sizeof(Box<P>));
+    Value V(Tg);
+    V.R.N = ::new (Mem) Box<P>(Pool, std::forward<A>(Args)...);
+    return V;
+  }
+  template <typename P> P &payload() const {
+    return static_cast<Box<P> *>(R.N)->Payload;
+  }
+
+  static void retain(Node *N) noexcept {
+    if (N->Pool)
+      ++N->Refs;
+    else
+      __atomic_fetch_add(&N->Refs, 1, __ATOMIC_RELAXED);
+  }
+  /// Drops one reference; true when it was the last.
+  static bool unref(Node *N) noexcept {
+    if (N->Pool)
+      return --N->Refs == 0;
+    return __atomic_sub_fetch(&N->Refs, 1, __ATOMIC_ACQ_REL) == 0;
+  }
+  /// True when \p V's node has no other reference (in-place mutation).
+  static bool unique(const Value &V) {
+    const Node *N = V.R.N;
+    return N->Pool ? N->Refs == 1
+                   : __atomic_load_n(&N->Refs, __ATOMIC_ACQUIRE) == 1;
+  }
+  /// Frees a dead node and every node only it kept alive, without
+  /// recursion or allocation (Value.cpp).
+  static void destroyNode(Tag Tg, Node *N) noexcept;
+
+  void swap(Value &O) noexcept {
+    std::swap(T, O.T);
+    std::swap(Tok, O.Tok);
+    std::swap(R, O.R);
+  }
 
 public:
   Value() = default;
-
-  Value(const Value &O) : T(O.T) {
+  Value(const Value &O) noexcept : T(O.T), Tok(O.Tok), R(O.R) {
     if (hasPtr())
-      new (&R.P) BoxPtr(O.R.P);
-    else
-      std::memcpy(static_cast<void *>(&R), static_cast<const void *>(&O.R),
-                  sizeof(Rep)); // trivial members only (!hasPtr())
+      retain(R.N);
   }
-  Value(Value &&O) noexcept : T(O.T) {
-    if (hasPtr())
-      new (&R.P) BoxPtr(std::move(O.R.P)); // leaves O's slot null
-    else
-      std::memcpy(static_cast<void *>(&R), static_cast<const void *>(&O.R),
-                  sizeof(Rep)); // trivial members only (!hasPtr())
-  }
-  Value &operator=(Value &&O) noexcept {
-    if (this == &O)
-      return *this;
-    if (hasPtr() && O.hasPtr()) {
-      R.P = std::move(O.R.P);
-      T = O.T;
-      return *this;
-    }
-    if (hasPtr())
-      R.P.~BoxPtr();
-    T = O.T;
-    if (O.hasPtr())
-      new (&R.P) BoxPtr(std::move(O.R.P));
-    else
-      std::memcpy(static_cast<void *>(&R), static_cast<const void *>(&O.R),
-                  sizeof(Rep)); // trivial members only (!hasPtr())
-    return *this;
-  }
-  Value &operator=(const Value &O) {
-    if (this != &O)
-      *this = Value(O);
+  Value(Value &&O) noexcept : T(O.T), Tok(O.Tok), R(O.R) { O.T = Tag::Unit; }
+  /// Copy/move-and-swap: the old value dies after the new one is in
+  /// place, so assigning from a part of the old value is safe.
+  Value &operator=(Value O) noexcept {
+    swap(O);
     return *this;
   }
   ~Value() {
-    if (hasPtr())
-      R.P.~BoxPtr();
+    if (hasPtr() && unref(R.N))
+      destroyNode(T, R.N);
   }
 
   static Value unit() { return Value(); }
   static Value boolean(bool B) {
-    Value V;
-    V.T = Tag::Bool;
+    Value V(Tag::Bool);
     V.R.B = B;
     return V;
   }
   static Value integer(int64_t I) {
-    Value V;
-    V.T = Tag::Int;
+    Value V(Tag::Int);
     V.R.I = I;
     return V;
   }
   static Value real(double D) {
-    Value V;
-    V.T = Tag::Real;
+    Value V(Tag::Real);
     V.R.D = D;
     return V;
   }
   static Value token(TokenId Tok, uint32_t Begin, uint32_t End) {
-    Value V;
-    V.T = Tag::Token;
-    V.R.L = Lexeme{Tok, Begin, End};
+    Value V(Tag::Token);
+    V.Tok = Tok;
+    V.R.Span = Begin | uint64_t(End) << 32;
     return V;
   }
-  static Value token(const Lexeme &L) {
-    Value V;
-    V.T = Tag::Token;
-    V.R.L = L;
-    return V;
-  }
+  static Value token(const Lexeme &L) { return token(L.Tok, L.Begin, L.End); }
   static Value string(std::string S) {
-    return Value(Tag::Str,
-                 std::make_shared<std::string>(std::move(S)));
+    return box<std::string>(Tag::Str, nullptr, std::move(S));
   }
   static Value pair(Value A, Value B) {
-    return Value(Tag::Pair,
-                 std::make_shared<ValuePair>(std::move(A), std::move(B)));
+    return pair(nullptr, std::move(A), std::move(B));
   }
-  static Value list(ValueList L) {
-    return Value(Tag::List, std::make_shared<ValueList>(std::move(L)));
-  }
+  static Value list(ValueList L) { return list(nullptr, std::move(L)); }
 
   //===--------------------------------------------------------------===//
   // Pool-backed constructors: identical semantics, arena-backed nodes.
   // A null pool degrades to the heap constructors above.
   //===--------------------------------------------------------------===//
 
-  static Value pair(const ValuePoolRef &Pool, Value A, Value B) {
-    if (!Pool)
-      return pair(std::move(A), std::move(B));
-    return Value(Tag::Pair, std::allocate_shared<ValuePair>(
-                                PoolAlloc<ValuePair>(Pool), std::move(A),
-                                std::move(B)));
+  static Value pair(ValuePool *Pool, Value A, Value B) {
+    return box<ValuePair>(Tag::Pair, Pool, std::move(A), std::move(B));
   }
-  static Value list(const ValuePoolRef &Pool, ValueList L) {
-    if (!Pool)
-      return list(std::move(L));
-    return Value(Tag::List,
-                 std::allocate_shared<ValueList>(PoolAlloc<ValueList>(Pool),
-                                                 std::move(L)));
+  static Value list(ValuePool *Pool, ValueList L) {
+    return box<ValueList>(Tag::List, Pool, std::move(L));
   }
 
   /// \p ListV (a list value) with \p Elem appended. Mutates in place when
   /// the node is uniquely owned (the accumulator discipline of `star`),
-  /// copies otherwise. Nodes are created non-const, so the cast is sound.
-  static Value listAppend(const ValuePoolRef &Pool, Value ListV,
-                          Value Elem) {
-    assert(ListV.isList() && "listAppend needs a list");
-    if (ListV.R.P.use_count() == 1) {
-      const_cast<ValueList &>(ListV.asList()).push_back(std::move(Elem));
-      return ListV;
-    }
-    ValueList L = ListV.asList();
-    L.push_back(std::move(Elem));
-    return list(Pool, std::move(L));
-  }
-
+  /// copies otherwise.
+  static Value listAppend(ValuePool *Pool, Value ListV, Value Elem);
   /// \p ListV reversed; in place when uniquely owned.
-  static Value listReversed(const ValuePoolRef &Pool, Value ListV) {
-    assert(ListV.isList() && "listReversed needs a list");
-    if (ListV.R.P.use_count() == 1) {
-      ValueList &L = const_cast<ValueList &>(ListV.asList());
-      std::reverse(L.begin(), L.end());
-      return ListV;
-    }
-    ValueList L(ListV.asList().rbegin(), ListV.asList().rend());
-    return list(Pool, std::move(L));
-  }
+  static Value listReversed(ValuePool *Pool, Value ListV);
 
   bool isUnit() const { return T == Tag::Unit; }
   bool isBool() const { return T == Tag::Bool; }
@@ -419,21 +400,22 @@ public:
     assert(isReal() && "value is not a real");
     return R.D;
   }
-  const Lexeme &asToken() const {
+  Lexeme asToken() const {
     assert(isToken() && "value is not a token");
-    return R.L;
+    return Lexeme{Tok, static_cast<uint32_t>(R.Span),
+                  static_cast<uint32_t>(R.Span >> 32)};
   }
   const std::string &asString() const {
     assert(isString() && "value is not a string");
-    return *static_cast<const std::string *>(R.P.get());
+    return payload<std::string>();
   }
   const ValuePair &asPair() const {
     assert(isPair() && "value is not a pair");
-    return *static_cast<const ValuePair *>(R.P.get());
+    return payload<ValuePair>();
   }
   const ValueList &asList() const {
     assert(isList() && "value is not a list");
-    return *static_cast<const ValueList *>(R.P.get());
+    return payload<ValueList>();
   }
 
   /// Deep structural equality (for differential tests).
@@ -443,6 +425,8 @@ public:
   /// Debug rendering, e.g. `(3 . [tok:atom@2-5])`.
   std::string str() const;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag, a token id and 8 bytes");
 
 } // namespace flap
 

@@ -18,7 +18,7 @@
 ///
 /// Tails carry two kinds of symbols: real nonterminals and *action
 /// markers* — pseudo-nonterminals with ε-semantics that route flap's
-/// semantic actions through normalization (DESIGN.md §3). Validators and
+/// semantic actions through normalization. Validators and
 /// language-level semantics erase markers.
 ///
 //===----------------------------------------------------------------------===//

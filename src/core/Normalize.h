@@ -17,7 +17,7 @@
 /// proves (Lemma 3.2: no ε-production appears where typing forbids it).
 ///
 /// Semantic actions travel as ε-markers appended to production tails
-/// (DESIGN.md §3); they are invisible to the grammar-level semantics.
+/// (core/Grammar.h); they are invisible to the grammar-level semantics.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -136,14 +136,14 @@ enum class RecordLogEntry : uint8_t { Value, Diagnostic };
 /// entries are the machine's packed symbols (see CompiledParser::packNt).
 ///
 /// Pool is the parse's value arena: pair/list nodes built by tagged
-/// actions come from its freelists and recycle as values die, so the
+/// actions come from its freelist and recycle as values die, so the
 /// reuse discipline extends to structured semantic values. A result that
-/// escapes the parse pins the pool pages via shared ownership (see
+/// escapes the parse keeps the pool alive through its live-node pin (see
 /// engine/README.md "Arena-pooled values").
 struct ParseScratch {
   std::vector<uint32_t> Stack;
   ValueStack Values;
-  ValuePoolRef Pool = std::make_shared<ValuePool>();
+  ValuePoolRef Pool = ValuePool::create();
 
   void reset() {
     Stack.clear();

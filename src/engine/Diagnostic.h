@@ -25,6 +25,7 @@
 #include "core/Grammar.h"
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace flap {
@@ -101,11 +102,15 @@ struct LineTracker {
 
   /// Absorbs the \p N bytes at absolute offset ScannedTo.
   void advance(const char *S, size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      if (S[I] == '\n') {
-        ++Line;
-        LineStart = ScannedTo + I + 1;
-      }
+    const char *P = S, *End = S + N;
+    while (P != End) {
+      const void *NL = std::memchr(P, '\n', static_cast<size_t>(End - P));
+      if (!NL)
+        break;
+      P = static_cast<const char *>(NL) + 1;
+      ++Line;
+      LineStart = ScannedTo + static_cast<uint64_t>(P - S);
+    }
     ScannedTo += N;
   }
 

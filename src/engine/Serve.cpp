@@ -22,16 +22,17 @@ ValuePoolRef PoolBank::acquire() {
       return P;
     }
   }
-  return std::make_shared<ValuePool>();
+  return ValuePool::create();
 }
 
 void PoolBank::give(ValuePoolRef P) {
-  // use_count == 1 ⟺ only this handle pins the pool: every value that
-  // ever borrowed it is dead, so its freelists are coherent and the
-  // next acquire may reuse them. The mutex is the happens-before edge
-  // between the consumer thread that freed the last node and the
-  // worker that allocates next.
-  if (P.use_count() != 1)
+  // No live node ⟺ every value that ever borrowed the pool is dead, so
+  // its freelist is coherent and the next acquire may reuse it (the
+  // reply held the only handle). The caller owns the pool right now,
+  // so reading the plain count is race-free. The mutex is the
+  // happens-before edge between the consumer thread that freed the last
+  // node and the worker that allocates next.
+  if (P->liveNodes() != 0)
     return; // escaped values keep it alive; it dies with the last one
   std::lock_guard<std::mutex> G(Mu);
   Free.push_back(std::move(P));

@@ -25,13 +25,17 @@
 /// worker adopts it (ValuePool::adoptOwner) for the parse, and the
 /// reply carries it to the consumer, whose first pool touch re-adopts
 /// it — ownership moves over the future's synchronization point, never
-/// concurrently. When the reply dies, its destructor returns the pool
-/// to the bank *if no result value still pins it* (use_count == 1);
-/// otherwise the pool simply stays alive until the escaped values die,
-/// and the bank mints a fresh one for the next request. The bank's
-/// mutex provides the happens-before between the consumer's last free
-/// and the next worker's first allocation. Debug builds assert all of
-/// this (cfe/Value.h), and the whole harness runs under TSan in CI
+/// concurrently. The consumer may copy result values freely on its own
+/// thread (pooled nodes count references with plain integers, which is
+/// why a reply is consumed on one thread at a time). When the reply
+/// dies, its destructor frees its values and returns the pool to the
+/// bank *if the pool has no live node left* (ValuePool::liveNodes() ==
+/// 0; the reply held the only handle); otherwise the escaped values'
+/// live-node pin keeps the pool alive until the last of them dies, and
+/// the bank mints a fresh one for the next request. The bank's mutex
+/// provides the happens-before between the consumer's last free and the
+/// next worker's first allocation. Debug builds assert all of this
+/// (cfe/Value.h), and the whole harness runs under TSan in CI
 /// (tier1-tsan).
 ///
 /// Shutdown contract: shutdown() (and the destructor) stops intake,
@@ -75,14 +79,16 @@ struct ServeOptions {
 };
 
 /// A shared checkout of value pools; see the pool discipline in the
-/// file header. Replies hold the bank weakly through a shared_ptr so a
-/// reply outliving the service returns its pool to a bank that is
-/// itself still alive.
+/// file header. Replies share the bank through a shared_ptr so a reply
+/// outliving the service returns its pool to a bank that is itself
+/// still alive.
 class PoolBank {
 public:
   ValuePoolRef acquire();
-  /// Recycles \p P if nothing else pins it; a pool still pinned by
-  /// escaped values is dropped (it dies with its last value).
+  /// Recycles \p P if it has no live node; the caller must own the pool
+  /// and hold its only handle. A pool with live nodes (escaped values)
+  /// is dropped: its live-node pin keeps it alive until the last of
+  /// them dies.
   void give(ValuePoolRef P);
 
 private:
@@ -91,8 +97,8 @@ private:
 };
 
 /// One request's results. Movable, not copyable; destruction returns
-/// the value pool to the service's bank. Consume (and destroy) a reply
-/// on one thread at a time — its values share one pool.
+/// the value pool to the service's bank. Consume, copy and destroy a
+/// reply's values on one thread at a time — they share one pool.
 struct ServeReply {
   /// False only when the request raced shutdown and was rejected;
   /// Results/Recovered are empty then.

@@ -43,11 +43,11 @@
 /// parse call hands every worker a fresh ValuePool, so results escaping
 /// the call never share a freelist with a later call's workers; the
 /// caller adopts every pool after the join (see ValuePool's single-owner
-/// rule), and the user destroys the returned values on one thread, as
-/// with any parse result. Within a call the only synchronization is the
-/// task dispatch and one completion barrier — no locks in the parse
-/// loops — so json/csv corpora scale near-linearly with cores
-/// (BENCH_parallel.json records the trajectory).
+/// rule), and the user copies and destroys the returned values on one
+/// thread, as with any parse result. Within a call the only
+/// synchronization is the task dispatch and one completion barrier — no
+/// locks in the parse loops — so json/csv corpora scale near-linearly
+/// with cores (BENCH_parallel.json records the trajectory).
 ///
 //===----------------------------------------------------------------------===//
 

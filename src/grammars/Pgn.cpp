@@ -53,7 +53,7 @@ std::shared_ptr<GrammarDef> flap::makePgnGrammar() {
         L.tok(ResultTok),
         [](ParseContext &Ctx, Value *Args) {
           if (auto *C = static_cast<PgnCtx *>(Ctx.User)) {
-            const Lexeme &R = Args[0].asToken();
+            const Lexeme R = Args[0].asToken();
             std::string_view T = Ctx.text(R);
             if (T == "1-0")
               ++C->White;

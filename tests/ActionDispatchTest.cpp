@@ -21,12 +21,15 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Pipeline.h"
+#include "engine/Serve.h"
 #include "engine/Stream.h"
 #include "grammars/Grammars.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace flap;
 
@@ -238,6 +241,173 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
       ASSERT_TRUE(V2.ok());
     }
     EXPECT_EQ(Escaped, *Ref) << Name;
+  }
+}
+
+static_assert(sizeof(Value) == 16, "Value moves as one 16-byte copy");
+
+/// chain := ε | 'a' chain, valued by the tagged Pair action: a
+/// right-nested pooled pair chain (a . (a . ... ())) as deep as the input
+/// is long.
+std::shared_ptr<GrammarDef> makeChainGrammar() {
+  auto Def = std::make_shared<GrammarDef>("chain");
+  TokenId A = Def->Lexer->rule("a", "a");
+  Lang &L = *Def->L;
+  Def->Root = L.fix([&](Px Self) {
+    return L.alt(L.eps(Value::unit(), "nil"), L.pairUp(L.tok(A), Self));
+  });
+  return Def;
+}
+
+/// The heap-built twin of a chain grammar parse of \p Len bytes.
+Value heapChain(size_t Len) {
+  Value V = Value::unit();
+  for (size_t I = Len; I-- > 0;)
+    V = Value::pair(Value::token(0, static_cast<uint32_t>(I),
+                                 static_cast<uint32_t>(I + 1)),
+                    std::move(V));
+  return V;
+}
+
+size_t chainDepth(const Value &V) {
+  size_t N = 0;
+  for (const Value *Cur = &V; Cur->isPair(); Cur = &Cur->asPair().second)
+    ++N;
+  return N;
+}
+
+TEST(ActionDispatchTest, DeepValuesTearDownWithoutRecursion) {
+  // Dropping a depth-10^6 structure must neither recurse per level (the
+  // stack would overflow) nor allocate. Built by a grammar action into
+  // the parse's pool, and by hand on the heap as nested pairs and lists.
+  constexpr size_t Depth = 1000000;
+  DispatchRig R(makeChainGrammar());
+  {
+    Result<Value> V = R.P.M.parse(std::string(Depth, 'a'));
+    ASSERT_TRUE(V.ok()) << V.error();
+    EXPECT_EQ(chainDepth(*V), Depth);
+  }
+  Value Heap = Value::unit();
+  for (size_t I = 0; I < Depth; ++I)
+    Heap = I % 2 ? Value::pair(Value::string("s"), std::move(Heap))
+                 : Value::list({Value::integer(1), std::move(Heap)});
+  Heap = Value();
+  EXPECT_TRUE(Heap.isUnit());
+}
+
+TEST(ActionDispatchTest, PooledValuesOutliveTheirStreamParser) {
+  // A value taken from a StreamParser keeps the parser's pool alive
+  // after the parser is gone (the live-node pin).
+  DispatchRig R(makeChainGrammar());
+  const std::string In(5000, 'a');
+  Value Escaped;
+  {
+    StreamParser SP(R.P.M);
+    for (size_t At = 0; At < In.size(); At += 64)
+      SP.feed(std::string_view(In).substr(At, 64));
+    ASSERT_EQ(SP.finish(), StreamStatus::Done);
+    Result<Value> V = SP.take();
+    ASSERT_TRUE(V.ok()) << V.error();
+    Escaped = V.take();
+  }
+  EXPECT_EQ(Escaped, heapChain(In.size()));
+  // And from a ParseScratch: the pool outlives its last handle while a
+  // node is alive, and the live count is exact.
+  ValuePool *Raw = nullptr;
+  {
+    ParseScratch Scratch;
+    Raw = Scratch.Pool.get();
+    Result<Value> V = R.P.M.parse(In, Scratch);
+    ASSERT_TRUE(V.ok()) << V.error();
+    Escaped = V.take();
+  }
+  EXPECT_EQ(Raw->liveNodes(), In.size());
+  EXPECT_EQ(Escaped, heapChain(In.size()));
+  Escaped = Value(); // the last node: frees the pool
+}
+
+TEST(ActionDispatchTest, PoolBankRecyclesOnlyPoolsWithNoLiveNode) {
+  PoolBank Bank;
+  ValuePoolRef P = Bank.acquire();
+  ValuePool *Pinned = P.get();
+  Value Escaped = Value::pair(P, Value::integer(1), Value::integer(2));
+  Bank.give(std::move(P));
+  ValuePoolRef Q = Bank.acquire();
+  EXPECT_NE(Q.get(), Pinned) << "a pool with a live node was recycled";
+  EXPECT_EQ(Escaped.asPair().second.asInt(), 2);
+  Escaped = Value();
+
+  ValuePool *Idle = Q.get();
+  { Value Dead = Value::list(Q, {Value::integer(3)}); }
+  EXPECT_EQ(Idle->liveNodes(), 0u);
+  Bank.give(std::move(Q));
+  EXPECT_EQ(Bank.acquire().get(), Idle) << "an idle pool was not recycled";
+}
+
+TEST(ActionDispatchTest, ListAppendMutatesOnlyUniqueLists) {
+  ValuePoolRef Pool = ValuePool::create();
+  for (ValuePool *P : {Pool.get(), static_cast<ValuePool *>(nullptr)}) {
+    Value L = Value::list(P, {Value::integer(0)});
+    const ValueList *Node = &L.asList();
+    L = Value::listAppend(P, std::move(L), Value::integer(1));
+    EXPECT_EQ(&L.asList(), Node) << "a unique list was copied";
+    L = Value::listReversed(P, std::move(L));
+    EXPECT_EQ(&L.asList(), Node);
+    EXPECT_EQ(L.asList()[0].asInt(), 1);
+
+    Value Shared = L;
+    Value L2 = Value::listAppend(P, L, Value::integer(2));
+    EXPECT_NE(&L2.asList(), Node) << "a shared list was mutated";
+    EXPECT_EQ(L.asList().size(), 2u);
+    EXPECT_EQ(L2.asList().size(), 3u);
+    EXPECT_EQ(Shared, L);
+  }
+}
+
+TEST(ActionDispatchTest, PooledAndHeapValuesCompareEqual) {
+  ValuePoolRef Pool = ValuePool::create();
+  auto Build = [](ValuePool *P) {
+    return Value::list(
+        P, {Value::pair(P, Value::token(3, 1, 4), Value::string("x")),
+            Value::pair(P, Value::real(0.5), Value::boolean(true)),
+            Value::list(P, {Value::integer(-7), Value::unit()})});
+  };
+  Value Pooled = Build(Pool), Heap = Build(nullptr);
+  EXPECT_EQ(Pooled, Heap);
+  EXPECT_EQ(Pooled.str(), Heap.str());
+  EXPECT_EQ(Pooled.asList()[0].asPair().first.asToken(), (Lexeme{3, 1, 4}));
+  EXPECT_NE(Pooled, Build(nullptr).asList()[0]);
+}
+
+TEST(ActionDispatchTest, ServeReplyIsConsumedAndCopiedOnAnotherThread) {
+  // The reply's pooled values cross to the consumer thread over the
+  // future, are copied there (plain counts), and die there in either
+  // order relative to the reply. The tsan preset checks the handoffs.
+  DispatchRig R(makeChainGrammar());
+  ServeOptions O;
+  O.Threads = 2;
+  ParseService S(R.P.M, R.P.M.Start, O);
+  const std::string In(300, 'a');
+  const Value Expect = heapChain(In.size());
+  for (int Round = 0; Round < 8; ++Round) {
+    std::future<ServeReply> F = S.submit({In, In});
+    std::thread Consumer([&, Round] {
+      Value Copy;
+      {
+        ServeReply Rep = F.get();
+        ASSERT_EQ(Rep.Results.size(), 2u);
+        ASSERT_TRUE(Rep.Results[1].ok());
+        Copy = *Rep.Results[1];
+        Value Second = Copy;
+        EXPECT_EQ(Second, Expect);
+        if (Round % 2)
+          Copy = Value(); // dies before the reply: the pool recycles
+      }
+      if (!Copy.isUnit()) {
+        EXPECT_EQ(Copy, Expect); // outlived the reply
+      }
+    });
+    Consumer.join();
   }
 }
 
