@@ -86,12 +86,6 @@ std::vector<NamedEngine> flapbench::fig11Engines(EngineSet &E) {
                    auto Ctx = Fresh();
                    return E.P.M.parse(In, *Scratch, Ctx.get()).ok();
                  }});
-  // (d') the same machine through the pre-PR byte-at-a-time table walk —
-  // the recorded baseline the run-skip speedup is measured against.
-  Out.push_back({"flap(prePR)", [&E, Fresh](std::string_view In) {
-                   auto Ctx = Fresh();
-                   return E.P.M.parseLegacy(In, Ctx.get()).ok();
-                 }});
   // (g) normalized but unfused.
   Out.push_back({"normalized", [&E, Fresh](std::string_view In) {
                    auto Ctx = Fresh();
@@ -129,9 +123,6 @@ std::vector<NamedEngine> flapbench::recognitionEngines(EngineSet &E) {
   auto Scratch = std::make_shared<ParseScratch>();
   Out.push_back({"flap", [&E, Scratch](std::string_view In) {
                    return E.P.M.recognize(In, *Scratch);
-                 }});
-  Out.push_back({"flap(prePR)", [&E](std::string_view In) {
-                   return E.P.M.recognizeLegacy(In);
                  }});
   Out.push_back({"normalized", [&E](std::string_view In) {
                    return E.Unfused->recognize(In);

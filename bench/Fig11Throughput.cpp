@@ -136,15 +136,6 @@ int main(int argc, char **argv) {
   std::printf("\n%-14s", "flap/yacc");
   for (const std::string &Gr : fig11Order())
     std::printf("%8.1fx", Table["flap"][Gr] / Table["ocamlyacc"][Gr]);
-
-  std::printf("\n\nRun-skip acceleration (this PR's machine vs the same "
-              "machine's pre-PR byte-at-a-time walk):\n");
-  std::printf("%-14s", "parse");
-  for (const std::string &Gr : fig11Order())
-    std::printf("%8.2fx", Table["flap"][Gr] / Table["flap(prePR)"][Gr]);
-  std::printf("\n%-14s", "recognize");
-  for (const std::string &Gr : fig11Order())
-    std::printf("%8.2fx", Rec["flap"][Gr] / Rec["flap(prePR)"][Gr]);
   std::printf("\n");
 
   if (JsonPath) {

@@ -105,11 +105,10 @@ void BM_PipelineCompile(benchmark::State &State) {
 BENCHMARK(BM_PipelineCompile);
 
 //===--------------------------------------------------------------------===//
-// Action-dispatch micro-panel: the per-marker cost of the three dispatch
+// Action-dispatch micro-panel: the per-marker cost of the two dispatch
 // mechanisms on a synthetic marker stream (a counting fold: push a
 // constant, add it into an accumulator — the dominant shape of the
-// benchmark grammars). Attributes the panel-A devirtualization win:
-//   - StdFunction: the retained legacy reference path (ActionTable::ref)
+// benchmark grammars):
 //   - Switch:      the tagged micro-op dispatch (ValueStack::applyMicro)
 //   - FusedChain:  a pre-fused ε-chain block (ValueStack::runChain)
 //===--------------------------------------------------------------------===//
@@ -126,17 +125,6 @@ struct DispatchRig {
     VS.push(Value::integer(0)); // accumulator
   }
 };
-
-void BM_ActionDispatchStdFunction(benchmark::State &State) {
-  DispatchRig R;
-  for (auto _ : State) {
-    R.VS.applyRef(R.AT.get(R.One), R.AT.ref(R.One), R.Ctx);
-    R.VS.applyRef(R.AT.get(R.Add), R.AT.ref(R.Add), R.Ctx);
-    benchmark::DoNotOptimize(R.VS.data());
-  }
-  State.SetItemsProcessed(State.iterations() * 2);
-}
-BENCHMARK(BM_ActionDispatchStdFunction);
 
 void BM_ActionDispatchSwitch(benchmark::State &State) {
   DispatchRig R;

@@ -20,12 +20,11 @@
 /// back to a raw function pointer (optionally carrying a payload
 /// pointer). Registration allocates nothing on the common path.
 ///
-/// The former std::function path is retained as the *reference
-/// implementation*: ActionTable::ref() lazily wraps every tagged action
-/// in a type-erased callable with identical semantics (heap-allocating
-/// pair/list nodes rather than pool-backed ones). parseLegacy, the
-/// stream RefActions option and tests/ActionDispatchTest.cpp drive it to
-/// pin the tagged dispatch down differentially.
+/// ValueStack::apply is the one implementation of every kind. The
+/// staged machine runs it through compact MicroOps (with dead-token
+/// elision and the value pool); the Fig. 9 interpreter
+/// (engine/FusedInterp.h) runs it on the unrewritten symbol stream with
+/// heap values, and the differential suites pin the two together.
 ///
 /// Actions may consult a per-parse ParseContext (input text and an opaque
 /// user pointer), which is how grammars like ppm implement semantic
@@ -40,11 +39,9 @@
 
 #include "cfe/Value.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdlib>
-#include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,9 +93,6 @@ using ActionFn = Value (*)(ParseContext &Ctx, Value *Args);
 /// that genuinely needs captured state, e.g. chainl1's fold function).
 using ActionPFn = Value (*)(ParseContext &Ctx, Value *Args,
                             const void *Payload);
-
-/// Reference-path callable (the legacy type-erased shape).
-using ActionRefFn = std::function<Value(ParseContext &Ctx, Value *Args)>;
 
 /// The executable shape of an action. Grammar code rarely names these
 /// directly — ActionTable's add* helpers and the Lang combinators pick
@@ -207,9 +201,9 @@ struct MicroOp {
   uint8_t K = MSlow;
   uint8_t Arity = 0;
   int16_t Sel = 0, Sel2 = 0;
-  /// Occurrence flags (used by the staged machine's op pool).
-  uint16_t Flags = 0;
-  static constexpr uint16_t FRewritten = 1; ///< dead-token elision applied
+  /// Always 0: op pools are stored as raw bytes (engine/Artifact.cpp),
+  /// so the struct keeps no undefined padding.
+  uint16_t Reserved = 0;
   /// Immediate: the constant / addend — or, for an MSlow *pool
   /// occurrence* (engine op pools only, never the ActionTable's own
   /// micro table), the ActionId to dispatch through the full record.
@@ -393,24 +387,6 @@ public:
   /// watermarks need tracking at all.
   bool readsInput() const { return AnyReadsInput; }
 
-  /// The legacy type-erased callable for \p Id — semantics identical to
-  /// the tagged dispatch, but routed through a std::function and the
-  /// heap (non-pooled) value constructors. Built lazily, once. Safe
-  /// against concurrent first use: two parser threads hitting a
-  /// ValueFree entry's legacy fallback at once (the serving harness does
-  /// exactly this) serialize the build under RefsMu; the fast path is an
-  /// acquire load that observes the completed table.
-  const ActionRefFn &ref(ActionId Id) const {
-    if (RefsBuilt.load(std::memory_order_acquire) != Actions.size()) {
-      std::lock_guard<std::mutex> G(RefsMu);
-      if (RefsBuilt.load(std::memory_order_relaxed) != Actions.size()) {
-        buildRefs();
-        RefsBuilt.store(Actions.size(), std::memory_order_release);
-      }
-    }
-    return RefFns[Id];
-  }
-
 private:
   ActionId push(Action A) {
     AnyReadsInput |= A.ReadsInput;
@@ -463,14 +439,9 @@ private:
     return Id;
   }
 
-  void buildRefs() const;
-
   std::vector<Action> Actions;
   std::vector<MicroOp> Micro;
   bool AnyReadsInput = false;
-  mutable std::vector<ActionRefFn> RefFns;
-  mutable std::atomic<size_t> RefsBuilt{0};
-  mutable std::mutex RefsMu;
 };
 
 /// A growable value stack shared by all engines. Running an action pops
@@ -670,15 +641,6 @@ public:
 #endif
   void applySlowId(const ActionTable &AT, ActionId Id, ParseContext &Ctx) {
     apply(AT.data()[Id], Ctx);
-  }
-
-  /// Applies \p A through its legacy std::function (the reference path).
-  void applyRef(const Action &A, const ActionRefFn &F, ParseContext &Ctx) {
-    assert(size() >= static_cast<size_t>(A.Arity) &&
-           "value stack underflow in action");
-    Value *Args = Top - A.Arity;
-    Value R = F(Ctx, Args);
-    replaceTop(static_cast<size_t>(A.Arity), std::move(R));
   }
 
   /// Runs a pre-fused ε-chain program: \p Ops actions back to back, with

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 using namespace flap;
 
@@ -84,58 +86,108 @@ Value Value::listReversed(ValuePool *Pool, Value ListV) {
   return list(Pool, std::move(L));
 }
 
+/// Equality of two values of one non-container tag.
+static bool sameLeaf(const Value &A, const Value &B) {
+  if (A.isUnit())
+    return true;
+  if (A.isBool())
+    return A.asBool() == B.asBool();
+  if (A.isInt())
+    return A.asInt() == B.asInt();
+  if (A.isReal())
+    return A.asReal() == B.asReal();
+  if (A.isToken())
+    return A.asToken() == B.asToken();
+  return A.asString() == B.asString();
+}
+
 bool Value::operator==(const Value &O) const {
   if (T != O.T)
     return false;
-  if (isUnit())
-    return true;
-  if (isBool())
-    return asBool() == O.asBool();
-  if (isInt())
-    return asInt() == O.asInt();
-  if (isReal())
-    return asReal() == O.asReal();
-  if (isToken())
-    return asToken() == O.asToken();
-  if (isString())
-    return asString() == O.asString();
-  if (isPair())
-    return asPair().first == O.asPair().first &&
-           asPair().second == O.asPair().second;
-  if (isList()) {
-    const ValueList &A = asList(), &B = O.asList();
-    if (A.size() != B.size())
+  if (!hasPtr() || T == Tag::Str)
+    return sameLeaf(*this, O); // no worklist (and no allocation)
+  // An explicit worklist of pairs still to compare: a depth-10^6 chain
+  // compares in a loop, not one stack frame per level.
+  std::vector<std::pair<const Value *, const Value *>> Work{{this, &O}};
+  while (!Work.empty()) {
+    const auto [A, B] = Work.back();
+    Work.pop_back();
+    if (A->T != B->T)
       return false;
-    for (size_t I = 0; I < A.size(); ++I)
-      if (A[I] != B[I])
+    if (A->isPair()) {
+      // Second first: the stack then compares the first halves first.
+      Work.push_back({&A->asPair().second, &B->asPair().second});
+      Work.push_back({&A->asPair().first, &B->asPair().first});
+    } else if (A->isList()) {
+      const ValueList &LA = A->asList(), &LB = B->asList();
+      if (LA.size() != LB.size())
         return false;
-    return true;
+      for (size_t I = LA.size(); I-- > 0;)
+        Work.push_back({&LA[I], &LB[I]});
+    } else if (!sameLeaf(*A, *B)) {
+      return false;
+    }
   }
-  return false;
+  return true;
 }
 
 std::string Value::str() const {
-  if (isUnit())
-    return "()";
-  if (isBool())
-    return asBool() ? "true" : "false";
-  if (isInt())
-    return format("%lld", static_cast<long long>(asInt()));
-  if (isReal())
-    return format("%g", asReal());
-  if (isToken()) {
-    const Lexeme L = asToken();
-    return format("[tok:%d@%u-%u]", L.Tok, L.Begin, L.End);
+  // The same worklist discipline as operator==: an entry is a value to
+  // render or a literal to append, pushed in reverse output order.
+  struct Item {
+    const Value *V;
+    const char *Lit;
+  };
+  std::string Out;
+  std::vector<Item> Work{{this, nullptr}};
+  while (!Work.empty()) {
+    const Item It = Work.back();
+    Work.pop_back();
+    if (It.Lit) {
+      Out += It.Lit;
+      continue;
+    }
+    const Value &V = *It.V;
+    switch (V.T) {
+    case Tag::Unit:
+      Out += "()";
+      break;
+    case Tag::Bool:
+      Out += V.R.B ? "true" : "false";
+      break;
+    case Tag::Int:
+      Out += format("%lld", static_cast<long long>(V.R.I));
+      break;
+    case Tag::Real:
+      Out += format("%g", V.R.D);
+      break;
+    case Tag::Token: {
+      const Lexeme L = V.asToken();
+      Out += format("[tok:%d@%u-%u]", L.Tok, L.Begin, L.End);
+      break;
+    }
+    case Tag::Str:
+      Out += "\"" + escapeString(V.asString()) + "\"";
+      break;
+    case Tag::Pair:
+      Work.push_back({nullptr, ")"});
+      Work.push_back({&V.asPair().second, nullptr});
+      Work.push_back({nullptr, " . "});
+      Work.push_back({&V.asPair().first, nullptr});
+      Out += "(";
+      break;
+    case Tag::List: {
+      const ValueList &L = V.asList();
+      Work.push_back({nullptr, "]"});
+      for (size_t I = L.size(); I-- > 0;) {
+        Work.push_back({&L[I], nullptr});
+        if (I)
+          Work.push_back({nullptr, " "});
+      }
+      Out += "[";
+      break;
+    }
+    }
   }
-  if (isString())
-    return "\"" + escapeString(asString()) + "\"";
-  if (isPair())
-    return "(" + asPair().first.str() + " . " + asPair().second.str() + ")";
-  if (isList()) {
-    std::vector<std::string> Parts;
-    for (const Value &E : asList())
-      Parts.push_back(E.str());
-    return "[" + join(Parts, " ") + "]";
-  }
-  return "?";
+  return Out;
 }

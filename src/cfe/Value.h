@@ -418,11 +418,12 @@ public:
     return payload<ValueList>();
   }
 
-  /// Deep structural equality (for differential tests).
+  /// Deep structural equality (for differential tests); iterative, so
+  /// the depth of a value never bounds it.
   bool operator==(const Value &O) const;
   bool operator!=(const Value &O) const { return !(*this == O); }
 
-  /// Debug rendering, e.g. `(3 . [tok:atom@2-5])`.
+  /// Debug rendering, e.g. `(3 . [tok:atom@2-5])`; iterative too.
   std::string str() const;
 };
 

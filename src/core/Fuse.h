@@ -61,6 +61,10 @@ struct FusedNt {
 /// A fused grammar: token-free, branching only on characters.
 struct FusedGrammar {
   NtId Start = NoNt;
+  /// Further nonterminals a parse may start at (compileFlapMulti's
+  /// roots); Start always is one. Staging keeps every entry's value:
+  /// dead-token elision never erases it (CompiledParser::NtInfo).
+  std::vector<NtId> Entries;
   std::vector<FusedNt> Nts;
   RegexId SkipRe = NoRegex;
 

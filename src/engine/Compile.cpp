@@ -15,6 +15,7 @@
 #include "support/StrUtil.h"
 
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -725,8 +726,15 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
     Removed[{R.Cont, R.TailIdx}].push_back(R.Pos);
     ContParseTok[C] = NoToken;
   }
+  // Entry points keep their value: a parse started at one returns it.
+  std::vector<uint8_t> IsEntry(NumNts, 0);
+  IsEntry[M.Start] = 1;
+  for (NtId E : F.Entries) {
+    assert(E < NumNts && "entry nonterminal out of range");
+    IsEntry[E] = 1;
+  }
   for (NtId N = 0; N < NumNts; ++N) {
-    if (!PureTokNt[N] || PureCont[N] < 0 || N == M.Start)
+    if (!PureTokNt[N] || PureCont[N] < 0 || IsEntry[N])
       continue;
     if (PureOccs[N].empty())
       continue; // unreachable; leave it alone
@@ -772,7 +780,6 @@ Result<CompiledParser> flap::compileFused(RegexArena &Arena,
           Op.Arity = static_cast<uint8_t>(Op.Arity - Gone.size());
           if (Op.K == MicroOp::MSelect && Op.Arity == 1 && Op.Sel == 0)
             Op.K = MicroOp::MNop;
-          Op.Flags |= MicroOp::FRewritten;
         }
         if (Op.K == MicroOp::MNop)
           continue; // identity occurrence: nothing to execute at all
@@ -913,10 +920,7 @@ struct ScanResult {
 /// the entry as dead, committed F2 whitespace (consume the run, commit,
 /// re-dispatch in place), a terminal accept (the lexeme is one byte,
 /// decided), a pure accepting run (the bulk-classified run is the rest
-/// of the lexeme), or a general scan. FLAP_NO_DISPATCH compiles the
-/// dispatch away, keeping the pre-dispatch entry path as a build-level
-/// differential reference (the tier renumbering stays on — it is a pure
-/// permutation).
+/// of the lexeme), or a general scan.
 template <typename Tab>
 inline ScanResult scan(const typename Tab::Cell *T, const SkipSet *Skip,
                        int32_t NumPureSkip, int32_t NumSelfSkip,
@@ -926,7 +930,6 @@ inline ScanResult scan(const typename Tab::Cell *T, const SkipSet *Skip,
   uint32_t Cur;
   int32_t Bs;
   size_t BestEnd, I;
-#if !defined(FLAP_NO_DISPATCH)
 Entry:
   // First-byte dispatch: one indexed load off the start state's row.
   if (Pos >= Len)
@@ -974,13 +977,6 @@ Entry:
       }
     }
   }
-#else
-Entry:
-  Cur = Start;
-  Bs = -1;
-  BestEnd = Pos;
-  I = Pos;
-#endif
   while (I < Len) {
     typename Tab::Cell Next =
         T[Cur * 256 + static_cast<unsigned char>(S[I])];
@@ -1001,13 +997,11 @@ Entry:
       if (static_cast<int32_t>(Cur) < NumAccept) {
         Bs = static_cast<int32_t>(Cur);
         BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
         // A pure accepting run cannot be left except by dying: the run's
         // end is the longest match — skip the dead-probing load.
         if (static_cast<uint32_t>(Cur - static_cast<uint32_t>(NumTermAcc)) <
             static_cast<uint32_t>(NumPureAcc - NumTermAcc))
           return {Bs, BestEnd, Pos};
-#endif
       }
       continue;
     }
@@ -1015,14 +1009,12 @@ Entry:
     if (static_cast<int32_t>(Cur) < NumAccept) {
       Bs = static_cast<int32_t>(Cur);
       BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
       // Terminal accept mid-lexeme (closing quotes, keyword tails): no
       // continuation exists, so the match is decided without probing
       // the next byte's transition.
       if (static_cast<uint32_t>(Cur - static_cast<uint32_t>(NumSelfSkip)) <
           static_cast<uint32_t>(NumTermAcc - NumSelfSkip))
         return {Bs, BestEnd, Pos};
-#endif
     }
   }
   if (static_cast<uint32_t>(Bs) < static_cast<uint32_t>(NumSelfSkip)) {
@@ -1456,95 +1448,49 @@ RecordRun recordsRecognizeT(const CompiledParser &M, NtId R,
       [](RecordRun &) {});
 }
 
-//===--------------------------------------------------------------------===//
-// Pre-run-skip reference kernels (the machine as of the first staging
-// implementation): byte-at-a-time walk with a dependent AcceptCont load
-// per byte. Differential-testing oracle + recorded perf baseline.
-//===--------------------------------------------------------------------===//
-
-struct LegacyScan {
-  int32_t Best;
-  size_t BestEnd;
-};
-
-
-inline LegacyScan scanLegacy8(const uint8_t *T, const int32_t *Acc,
-                              int32_t Start, const char *S, size_t Pos,
-                              size_t Len) {
-  uint32_t Cur = static_cast<uint32_t>(Start);
-  int32_t Best = -1;
-  size_t BestEnd = Pos, I = Pos;
-  while (I < Len) {
-    uint8_t Next = T[Cur * 256 + static_cast<unsigned char>(S[I])];
-    if (Next == CompiledParser::Dead8)
-      break;
-    Cur = Next;
-    ++I;
-    int32_t A = Acc[Cur];
-    if (A >= 0) {
-      Best = A;
-      BestEnd = I;
-    }
-  }
-  return {Best, BestEnd};
+/// A refused recovery parse: one Fatal Kind::Refused diagnostic.
+RecoveredParse refusedParse(NtId StartNt, const char *Why) {
+  RecoveredParse Out;
+  ParseDiagnostic D;
+  D.K = ParseDiagnostic::Kind::Refused;
+  D.Act = ParseDiagnostic::Action::Fatal;
+  D.Nt = StartNt;
+  D.Detail = Why;
+  Out.Errors.push_back(std::move(D));
+  Out.Truncated = true;
+  return Out;
 }
 
-inline LegacyScan scanLegacy16(const int16_t *T, const int32_t *Acc,
-                               int32_t Start, const char *S, size_t Pos,
-                               size_t Len) {
-  int32_t Cur = Start;
-  int32_t Best = -1;
-  size_t BestEnd = Pos, I = Pos;
-  while (I < Len) {
-    int32_t Next = T[Cur * 256 + static_cast<unsigned char>(S[I])];
-    if (Next < 0)
-      break;
-    Cur = Next;
-    ++I;
-    int32_t A = Acc[Cur];
-    if (A >= 0) {
-      Best = A;
-      BestEnd = I;
-    }
-  }
-  return {Best, BestEnd};
-}
-
-LegacyScan scanLegacy(const CompiledParser &M, bool Small, int32_t Start,
-                      const char *S, size_t Pos, size_t Len) {
-  return Small ? scanLegacy8(M.Trans8.data(), M.AcceptCont.data(), Start,
-                             S, Pos, Len)
-               : scanLegacy16(M.Trans16.data(), M.AcceptCont.data(), Start,
-                              S, Pos, Len);
-}
-
-size_t matchTrailingSkipLegacy(const CompiledParser &M,
-                               std::string_view Input, size_t Pos) {
-  if (M.SkipState < 0)
-    return Pos;
-  const size_t Len = Input.size();
-  const bool Small = !M.Trans8.empty();
-  while (Pos < Len) {
-    LegacyScan R =
-        scanLegacy(M, Small, M.SkipState, Input.data(), Pos, Len);
-    if (R.Best < 0 || R.BestEnd == Pos)
-      break;
-    Pos = R.BestEnd;
-  }
-  return Pos;
+/// A refused record run: Stop::Error before any record.
+RecordRun refusedRun(NtId R, const char *Why) {
+  RecordRun RR;
+  RR.S = RecordRun::Stop::Error;
+  RR.ErrNt = R;
+  RR.ErrMsg = Why;
+  return RR;
 }
 
 } // namespace
 
+const char *CompiledParser::refusal(NtId StartNt, std::string_view Input,
+                                    bool NeedsValue) const {
+  assert(StartNt < Nts.size() && "entry nonterminal out of range");
+  // Token spans are uint32: a longer input would wrap offsets silently.
+  if (Input.size() > uint64_t(UINT32_MAX))
+    return OffsetSpaceExceededMsg;
+  // Dead-token elision compiled this nonterminal's value (and its token
+  // events) out of the packed pools; as a start symbol that value would
+  // be the result.
+  if (NeedsValue && Nts[StartNt].ValueFree)
+    return ValueFreeEntryMsg;
+  return nullptr;
+}
+
 Result<Value> CompiledParser::parseFrom(NtId StartNt, std::string_view Input,
                                         ParseScratch &Scratch,
                                         void *User) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  // Dead-token elision compiled this nonterminal's value away on the
-  // packed-pool path; as an *entry point* that value is the result, so
-  // take the legacy (unrewritten) loop instead.
-  if (Nts[StartNt].ValueFree)
-    return parseLegacyFrom(StartNt, Input, User);
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/true))
+    return Err(Why);
   Scratch.reset();
   ValueSink Sk(*this, Scratch, Input, User);
   return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
@@ -1552,6 +1498,8 @@ Result<Value> CompiledParser::parseFrom(NtId StartNt, std::string_view Input,
 
 bool CompiledParser::recognize(std::string_view Input,
                                ParseScratch &Scratch) const {
+  if (refusal(Start, Input, /*NeedsValue=*/false))
+    return false;
   NullSink Sk;
   return drive(*this, Start, Input, Scratch.Stack, Sk);
 }
@@ -1559,23 +1507,16 @@ bool CompiledParser::recognize(std::string_view Input,
 Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    ParseScratch &Scratch,
                                    std::vector<ParseEvent> &Events) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  // The event stream mirrors the rewritten machine; a ValueFree entry's
-  // tokens were compiled away, so its stream could not be replayed into
-  // the entry's value (same restriction as the streaming parser).
-  if (Nts[StartNt].ValueFree)
-    return Err("entry nonterminal's value was compiled away by dead-token "
-               "elision; use parseLegacyFrom for this entry point");
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/true))
+    return Err(Why);
   EventSink Sk(*this, Input, Events);
   return Sk.result(drive(*this, StartNt, Input, Scratch.Stack, Sk));
 }
 
 Status CompiledParser::parseEvents(NtId StartNt, std::string_view Input,
                                    std::vector<ParseEvent> &Events) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  if (Nts[StartNt].ValueFree)
-    return Err("entry nonterminal's value was compiled away by dead-token "
-               "elision; use parseLegacyFrom for this entry point");
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/true))
+    return Err(Why);
   // The event driver uses only the symbol stack — no ParseScratch (and
   // no value-pool allocation) needed.
   std::vector<uint32_t> Stack;
@@ -1590,21 +1531,20 @@ CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
   std::vector<Result<Value>> Out;
   Out.reserve(N);
-  if (Nts[StartNt].ValueFree) {
-    for (size_t I = 0; I < N; ++I)
-      Out.push_back(parseLegacyFrom(StartNt, Inputs[I], User));
-    return Out;
-  }
-  // The serving loop: entry checks, the table width, and the sink (with
-  // its pool-handle refcount and user context) are hoisted out; the
-  // scratch's stacks and pool arena stay warm across inputs, so the
-  // per-input set-up is a rebind and two stack clears. Earlier results
-  // stay valid while later inputs run — pooled nodes recycle only once
-  // their value dies, and escaped values pin the pages.
+  // The serving loop: the table width and the sink (with its pool-handle
+  // refcount and user context) are hoisted out; the scratch's stacks and
+  // pool arena stay warm across inputs, so the per-input set-up is the
+  // entry check, a rebind and two stack clears. Earlier results stay
+  // valid while later inputs run — pooled nodes recycle only once their
+  // value dies, and escaped values pin the pages.
   const bool Small = !Trans8.empty();
   Scratch.reset();
   ValueSink Sk(*this, Scratch, std::string_view(), User);
   for (size_t I = 0; I < N; ++I) {
+    if (const char *Why = refusal(StartNt, Inputs[I], /*NeedsValue=*/true)) {
+      Out.push_back(Err(Why));
+      continue;
+    }
     // No per-input reset: driveImpl clears the symbol stack itself and
     // ValueSink::result leaves the value stack empty on both outcomes.
     Sk.rebind(Inputs[I]);
@@ -1624,17 +1564,16 @@ CompiledParser::parseBatch(NtId StartNt, const std::string_view *Inputs,
   assert(StartNt < Nts.size() && "entry nonterminal out of range");
   std::vector<Result<Value>> Out;
   Out.reserve(N);
-  if (Nts[StartNt].ValueFree) {
-    for (size_t I = 0; I < N; ++I)
-      Out.push_back(parseLegacyFrom(StartNt, Inputs[I], Users[I]));
-    return Out;
-  }
   // Same hoisted serving loop as the shared-User overload; the rebind
   // re-aims both the input view and the per-input action context.
   const bool Small = !Trans8.empty();
   Scratch.reset();
   ValueSink Sk(*this, Scratch, std::string_view(), nullptr);
   for (size_t I = 0; I < N; ++I) {
+    if (const char *Why = refusal(StartNt, Inputs[I], /*NeedsValue=*/true)) {
+      Out.push_back(Err(Why));
+      continue;
+    }
     Sk.rebind(Inputs[I], Users[I]);
     const bool Ok =
         Small ? driveImpl<Tab8>(*this, StartNt, Inputs[I], Scratch.Stack, Sk)
@@ -1650,21 +1589,9 @@ RecoveredParse CompiledParser::parseRecoverFrom(NtId StartNt,
                                                 ParseScratch &Scratch,
                                                 void *User,
                                                 const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/true))
+    return refusedParse(StartNt, Why);
   RecoveredParse Out;
-  if (Nts[StartNt].ValueFree) {
-    // Dead-token elision compiled this entry's value away and the legacy
-    // loop has no recovery mode: fail fast with one structured
-    // diagnostic instead of silently delivering nothing.
-    ParseDiagnostic D;
-    D.Act = ParseDiagnostic::Action::Fatal;
-    D.Nt = StartNt;
-    D.Expected = NtExpected[StartNt];
-    D.Where = NtNames[StartNt];
-    Out.Errors.push_back(std::move(D));
-    Out.Truncated = true;
-    return Out;
-  }
   Scratch.reset();
   ValueSink Sk(*this, Scratch, Input, User);
   recoverLoop(*this, StartNt, Input, Scratch.Stack, Sk,
@@ -1681,18 +1608,9 @@ RecoveredParse CompiledParser::parseRecoverFrom(NtId StartNt,
 RecoveredParse CompiledParser::parseEventsRecover(
     NtId StartNt, std::string_view Input, ParseScratch &Scratch,
     std::vector<ParseEvent> &Events, const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/true))
+    return refusedParse(StartNt, Why);
   RecoveredParse Out;
-  if (Nts[StartNt].ValueFree) {
-    ParseDiagnostic D;
-    D.Act = ParseDiagnostic::Action::Fatal;
-    D.Nt = StartNt;
-    D.Expected = NtExpected[StartNt];
-    D.Where = NtNames[StartNt];
-    Out.Errors.push_back(std::move(D));
-    Out.Truncated = true;
-    return Out;
-  }
   // Events already appended before a failure stay in the stream (the
   // same contract as the streaming event log across a recovered error).
   EventSink Sk(*this, Input, Events);
@@ -1705,7 +1623,8 @@ RecoveredParse
 CompiledParser::recognizeRecover(NtId StartNt, std::string_view Input,
                                  ParseScratch &Scratch,
                                  const RecoverOptions &Opts) const {
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
+  if (const char *Why = refusal(StartNt, Input, /*NeedsValue=*/false))
+    return refusedParse(StartNt, Why);
   RecoveredParse Out;
   RecoverNullSink Sk;
   recoverLoop(*this, StartNt, Input, Scratch.Stack, Sk, [](bool) {}, Opts,
@@ -1735,18 +1654,8 @@ RecordRun CompiledParser::parseRecords(NtId R, std::string_view Input,
                                        ParseScratch &Scratch,
                                        std::vector<Value> &Out,
                                        void *User) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    // The legacy fallback has no record mode; fail structurally rather
-    // than deliver values the elision compiled away.
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; record-sequence parsing needs a "
-                "value-carrying entry";
-    return RR;
-  }
+  if (const char *Why = refusal(R, Input, /*NeedsValue=*/true))
+    return refusedRun(R, Why);
   Scratch.reset();
   return Trans8.empty()
              ? recordsValuesT<Tab16>(*this, R, Input, Pos, Limit, Scratch,
@@ -1758,15 +1667,8 @@ RecordRun CompiledParser::parseRecords(NtId R, std::string_view Input,
 RecordRun CompiledParser::parseEventsRecords(
     NtId R, std::string_view Input, size_t Pos, size_t Limit,
     ParseScratch &Scratch, std::vector<ParseEvent> &Events) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; its event stream cannot be replayed";
-    return RR;
-  }
+  if (const char *Why = refusal(R, Input, /*NeedsValue=*/true))
+    return refusedRun(R, Why);
   return Trans8.empty()
              ? recordsEventsT<Tab16>(*this, R, Input, Pos, Limit,
                                      Scratch.Stack, Events)
@@ -1777,7 +1679,8 @@ RecordRun CompiledParser::parseEventsRecords(
 RecordRun CompiledParser::recognizeRecords(NtId R, std::string_view Input,
                                            size_t Pos, size_t Limit,
                                            ParseScratch &Scratch) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
+  if (const char *Why = refusal(R, Input, /*NeedsValue=*/false))
+    return refusedRun(R, Why);
   return Trans8.empty()
              ? recordsRecognizeT<Tab16>(*this, R, Input, Pos, Limit,
                                         Scratch.Stack)
@@ -1790,15 +1693,9 @@ RecordRun CompiledParser::parseRecordsRecover(
     ParseScratch &Scratch, std::vector<Value> &Out,
     std::vector<ParseDiagnostic> &Errs, std::vector<RecordLogEntry> &Log,
     const RecoverOptions &Opts, void *User) const {
-  assert(R < Nts.size() && "record nonterminal out of range");
-  if (Nts[R].ValueFree) {
-    RecordRun RR;
-    RR.S = RecordRun::Stop::Error;
-    RR.ErrNt = R;
+  if (const char *Why = refusal(R, Input, /*NeedsValue=*/true)) {
+    RecordRun RR = refusedRun(R, Why);
     RR.Truncated = true;
-    RR.ErrMsg = "record entry nonterminal's value was compiled away by "
-                "dead-token elision; record-sequence parsing needs a "
-                "value-carrying entry";
     return RR;
   }
   Scratch.reset();
@@ -1810,120 +1707,6 @@ RecordRun CompiledParser::parseRecordsRecover(
              : recordsRecoverT<Tab8>(*this, R, Input, Pos, Limit,
                                      Scratch.Stack, Sk, Out, Errs, Log,
                                      Opts);
-}
-
-Result<Value> CompiledParser::parseLegacyFrom(NtId StartNt,
-                                              std::string_view Input,
-                                              void *User) const {
-  // The frozen reference loop, in both senses: the pre-run-skip
-  // byte-at-a-time table walk AND the pre-devirtualization action path —
-  // every action runs through its retained std::function wrapper
-  // (ActionTable::ref) and the heap value constructors (no pool), over
-  // the *unrewritten* symbol stream (no dead-token elision). The
-  // differential suites pin the accelerated loop to this one.
-  assert(StartNt < Nts.size() && "entry nonterminal out of range");
-  ParseContext Ctx{Input, User, 0, {}};
-  ValueStack Values;
-  std::vector<Sym> Stack;
-  Stack.push_back(Sym::nt(StartNt));
-  size_t Pos = 0;
-  const size_t Len = Input.size();
-  const bool Small = !Trans8.empty();
-
-  while (!Stack.empty()) {
-    Sym S = Stack.back();
-    Stack.pop_back();
-    if (!S.isNt()) {
-      ActionId A = static_cast<ActionId>(S.Idx);
-      Values.applyRef(Actions->get(A), Actions->ref(A), Ctx);
-      continue;
-    }
-    const NtInfo &Info = Nts[S.Idx];
-    int32_t Best;
-    size_t BestEnd;
-    while (true) {
-      LegacyScan R =
-          scanLegacy(*this, Small, Info.StartState, Input.data(), Pos, Len);
-      Best = R.Best;
-      BestEnd = R.BestEnd;
-      if (Best >= 0 && Conts[Best].SelfSkip) {
-        Pos = BestEnd;
-        continue;
-      }
-      break;
-    }
-    if (Best >= 0) {
-      const Cont &K = Conts[Best];
-      if (K.PushTok != NoToken)
-        Values.push(Value::token(K.PushTok, static_cast<uint32_t>(Pos),
-                                 static_cast<uint32_t>(BestEnd)));
-      Pos = BestEnd;
-      const Sym *T = tail(K);
-      for (uint32_t J = K.TailLen; J-- > 0;)
-        Stack.push_back(T[J]);
-      continue;
-    }
-    if (Info.EpsChain >= 0) {
-      const std::vector<ActionId> &Chain = EpsChains[Info.EpsChain];
-      if (Chain.empty()) {
-        Values.push(Value::unit());
-      } else {
-        for (ActionId A : Chain)
-          Values.applyRef(Actions->get(A), Actions->ref(A), Ctx);
-      }
-      continue;
-    }
-    // Same diagnostics as the accelerated loop — rendered through the
-    // ONE shared formatter (engine/Diagnostic.h), so the kernels cannot
-    // drift (the differential fuzzer compares error strings verbatim).
-    return Err(formatParseErrorAt(Pos, NtExpected[S.Idx], NtNames[S.Idx]));
-  }
-
-  Pos = matchTrailingSkipLegacy(*this, Input, Pos);
-  if (Pos != Len)
-    return Err(formatTrailingAt(Pos));
-  // Final-value collection — the shared ValueStack policy.
-  return Values.collect();
-}
-
-bool CompiledParser::recognizeLegacy(std::string_view Input) const {
-  std::vector<uint32_t> Stack;
-  Stack.push_back(Start);
-  size_t Pos = 0;
-  const size_t Len = Input.size();
-  const bool Small = !Trans8.empty();
-
-  while (!Stack.empty()) {
-    uint32_t N = Stack.back();
-    Stack.pop_back();
-    const NtInfo &Info = Nts[N];
-    int32_t Best;
-    size_t BestEnd;
-    while (true) {
-      LegacyScan R =
-          scanLegacy(*this, Small, Info.StartState, Input.data(), Pos, Len);
-      Best = R.Best;
-      BestEnd = R.BestEnd;
-      if (Best >= 0 && Conts[Best].SelfSkip) {
-        Pos = BestEnd;
-        continue;
-      }
-      break;
-    }
-    if (Best >= 0) {
-      const Cont &K = Conts[Best];
-      Pos = BestEnd;
-      const Sym *T = tail(K);
-      for (uint32_t J = K.TailLen; J-- > 0;)
-        if (T[J].isNt())
-          Stack.push_back(T[J].Idx);
-      continue;
-    }
-    if (Info.EpsChain >= 0)
-      continue;
-    return false;
-  }
-  return matchTrailingSkipLegacy(*this, Input, Pos) == Len;
 }
 
 //===--------------------------------------------------------------------===//

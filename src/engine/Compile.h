@@ -224,7 +224,8 @@ public:
   }
 
   /// Parses starting from an arbitrary nonterminal — the machine is one
-  /// table set shared by every entry point (paper §8).
+  /// table set shared by every entry point (paper §8). Refuses (see
+  /// refusal()) a ValueFree nonterminal, whose value was compiled away.
   Result<Value> parseFrom(NtId StartNt, std::string_view Input,
                           void *User = nullptr) const {
     ParseScratch Scratch;
@@ -232,6 +233,14 @@ public:
   }
   Result<Value> parseFrom(NtId StartNt, std::string_view Input,
                           ParseScratch &Scratch, void *User = nullptr) const;
+
+  /// The checks every whole-buffer driver (and the streaming parser)
+  /// makes before it reads a byte: no input may exceed the 32-bit offset
+  /// space of token spans, and a driver that delivers values or events
+  /// (\p NeedsValue) cannot start at a ValueFree nonterminal. Returns
+  /// the refusal message, or nullptr when the driver may run.
+  const char *refusal(NtId StartNt, std::string_view Input,
+                      bool NeedsValue) const;
 
   /// Recognition only: no values, no actions. Used by the ablation bench
   /// to price the value machinery. Internally this is the same templated
@@ -304,15 +313,15 @@ public:
   // (BENCH_recovery.json gates this at 5%).
   //===--------------------------------------------------------------===//
 
-  /// Value-building recovery parse from the grammar start symbol.
+  /// Value-building recovery parse from the grammar start symbol. A
+  /// refused input or entry (refusal()) yields a single Fatal
+  /// Kind::Refused diagnostic and Truncated = true.
   RecoveredParse parseRecover(std::string_view Input, ParseScratch &Scratch,
                               void *User = nullptr,
                               const RecoverOptions &Opts = {}) const {
     return parseRecoverFrom(Start, Input, Scratch, User, Opts);
   }
-  /// Entry-point variant. A ValueFree entry nonterminal cannot deliver
-  /// values (its value was compiled away); the result carries a single
-  /// Fatal diagnostic at offset 0 and Truncated = true.
+  /// Entry-point variant.
   RecoveredParse parseRecoverFrom(NtId StartNt, std::string_view Input,
                                   ParseScratch &Scratch, void *User = nullptr,
                                   const RecoverOptions &Opts = {}) const;
@@ -403,24 +412,6 @@ public:
                                 const RecoverOptions &Opts = {},
                                 void *User = nullptr) const;
 
-  /// Pre-acceleration reference loop: byte-at-a-time table walk with a
-  /// dependent AcceptCont load per byte, per-parse stack allocation, and
-  /// every semantic action dispatched through its retained std::function
-  /// wrapper (ActionTable::ref) with heap-allocated values — the machine
-  /// as it was before run-skip acceleration and action devirtualization.
-  /// Kept as the differential-testing oracle for the accelerated kernels
-  /// and tagged dispatch (tests/ActionDispatchTest.cpp) and as the
-  /// recorded perf baseline (bench/Fig11Throughput --json).
-  Result<Value> parseLegacy(std::string_view Input,
-                            void *User = nullptr) const {
-    return parseLegacyFrom(Start, Input, User);
-  }
-  /// Legacy loop from an arbitrary entry point; also the correctness
-  /// fallback parseFrom takes for ValueFree entry nonterminals.
-  Result<Value> parseLegacyFrom(NtId StartNt, std::string_view Input,
-                                void *User = nullptr) const;
-  bool recognizeLegacy(std::string_view Input) const;
-
   /// Number of machine states = generated functions (Table 1, "Output
   /// Functions").
   int numStates() const { return static_cast<int>(AcceptCont.size()); }
@@ -493,8 +484,8 @@ public:
   int32_t NumAccept = 0;
   /// [State] → continuation selected when this state is reached with the
   /// longest match so far, or -1. Consulted by the code generator, the
-  /// legacy kernels and tests; the accelerated loop uses the
-  /// state-indexed Acc* arrays below instead.
+  /// verifier and tests; the residual loop uses the state-indexed Acc*
+  /// arrays below instead.
   Table<int32_t> AcceptCont;
   /// [State] → set of bytes on which the state loops to itself; empty
   /// for states with no self-loop. Drives run skipping.
@@ -548,9 +539,9 @@ public:
 
   /// One 16-byte micro-op per marker occurrence in PackedPool. MSlow
   /// occurrences carry their ActionId in Imm (the full Action record
-  /// dispatch); MicroOp::FRewritten marks occurrences adjusted by
-  /// dead-token elision, which therefore have no boxed (std::function)
-  /// equivalent of the same arity.
+  /// dispatch); an occurrence adjusted by dead-token elision has a
+  /// smaller arity than its action (engine/Verify.cpp checks both
+  /// shapes).
   ///
   /// Dead-token elision: a production that pushes a token whose value is
   /// consumed by a scalar micro-op marker that provably ignores it (the
@@ -561,8 +552,8 @@ public:
   /// out. A Select reduced to the identity becomes MNop and is dropped
   /// from the pool entirely.
   Table<MicroOp> OpPool;
-  /// Originating ActionId per OpPool entry (cold: reference-path and
-  /// diagnostic use only).
+  /// Originating ActionId per OpPool entry (cold: streaming retain
+  /// bookkeeping, the verifier and diagnostics).
   Table<ActionId> OpActs;
   uint32_t packNt(NtId N) const {
     return (static_cast<uint32_t>(N) << 16) |
@@ -578,11 +569,10 @@ public:
     /// fallback (`back` continuation), else -1 (`no` → parse error).
     int32_t EpsChain = -1;
     /// Dead-token elision erased this nonterminal's value entirely (a
-    /// pure token nonterminal all of whose consumers ignore it). The
-    /// packed pools are compiled under that assumption, so parseFrom
-    /// falls back to the legacy (unrewritten) loop when such a
-    /// nonterminal is used as an *entry point* — the only context where
-    /// its value would have been observable.
+    /// pure token nonterminal, not among FusedGrammar::Entries, all of
+    /// whose consumers ignore it). The packed pools are compiled under
+    /// that assumption, so the value and event drivers refuse it as a
+    /// start symbol (refusal()); declaring it an entry keeps its value.
     bool ValueFree = false;
   };
   Table<NtInfo> Nts;
@@ -666,7 +656,8 @@ public:
   /// when a nonterminal takes its `back` (lookahead/ε) continuation —
   /// one table-driven block instead of N ValueStack::apply round-trips.
   /// Compiled from EpsChains by compileFused; the chains themselves stay
-  /// around as the reference form (legacy path, code generator, tests).
+  /// around as the reference form (streaming retain path, code
+  /// generator, tests).
   struct EpsProgram {
     enum Kind : uint8_t {
       Unit,     ///< empty chain: push Value::unit()

@@ -39,6 +39,8 @@ std::string formatVerifyFinding(const char *Severity,
 }
 
 std::string ParseDiagnostic::message() const {
+  if (K == Kind::Refused)
+    return Detail;
   if (K == Kind::Trailing)
     return formatTrailingAt(Off);
   return formatParseErrorAt(Off, Expected, Where);

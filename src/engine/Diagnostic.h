@@ -6,13 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The ONE diagnostic record every engine path shares. Before recovery,
-/// the whole-buffer sinks (engine/Sink.h), the legacy reference loop
-/// (Compile.cpp) and the streaming parser (Stream.cpp) each formatted
-/// their own copy of the "parse error at offset N" strings; the
-/// differential suites compared them verbatim, which kept them honest
-/// but triplicated. They now all render through formatParseErrorAt /
-/// formatTrailingAt below, and the recovery tier surfaces the same
+/// The ONE diagnostic record every engine path shares. The whole-buffer
+/// sinks (engine/Sink.h) and the streaming parser (Stream.cpp) render
+/// their "parse error at offset N" strings through formatParseErrorAt /
+/// formatTrailingAt below (the differential suites compare them
+/// verbatim across paths), and the recovery tier surfaces the same
 /// information structurally as ParseDiagnostic — absolute offset,
 /// lazily materialized line/column, the expected-set text from
 /// CompiledParser::NtExpected, and the resynchronization action taken.
@@ -29,6 +27,16 @@
 #include <string>
 
 namespace flap {
+
+/// The refusal messages every entry point shares (CompiledParser::
+/// refusal and the streaming parser): an input whose offsets do not fit
+/// the uint32 token spans, and a value or event parse started at a
+/// nonterminal whose value dead-token elision compiled away.
+inline constexpr char OffsetSpaceExceededMsg[] =
+    "stream exceeds the 32-bit offset space (4 GiB)";
+inline constexpr char ValueFreeEntryMsg[] =
+    "entry nonterminal's value was compiled away by dead-token elision; "
+    "declare it an entry point (compileFlapMulti) to parse from it";
 
 /// Renders the parse-failure message every path emits: prefers the
 /// expected-set form when \p Expected is non-empty, else falls back to
@@ -53,11 +61,12 @@ std::string formatVerifyFinding(const char *Severity,
 /// (CompiledParser::parseRecover and friends, StreamParser in recovery
 /// mode); message() reproduces exactly the string the non-recovery
 /// paths would have failed with, so the first diagnostic of a recovered
-/// parse equals the legacy error verbatim.
+/// parse equals the non-recovery error verbatim.
 struct ParseDiagnostic {
   enum class Kind : uint8_t {
     Parse,   ///< no production matched while parsing Nt
-    Trailing ///< a value completed but input remained
+    Trailing, ///< a value completed but input remained
+    Refused   ///< the driver refused to start (Detail says why)
   };
   /// What the recovery driver did after recording the error.
   enum class Action : uint8_t {
@@ -77,6 +86,7 @@ struct ParseDiagnostic {
   uint32_t Col = 1;       ///< 1-based column of Off (byte-oriented)
   std::string Expected;   ///< expected-set text (NtExpected), may be ""
   std::string Where;      ///< failing nonterminal's name (NtNames)
+  std::string Detail;     ///< Kind::Refused: the refusal message
 
   /// The exact string the corresponding non-recovery path fails with.
   std::string message() const;
@@ -84,7 +94,7 @@ struct ParseDiagnostic {
   bool operator==(const ParseDiagnostic &O) const {
     return K == O.K && Act == O.Act && Nt == O.Nt && Off == O.Off &&
            ResumeOff == O.ResumeOff && Line == O.Line && Col == O.Col &&
-           Expected == O.Expected && Where == O.Where;
+           Expected == O.Expected && Where == O.Where && Detail == O.Detail;
   }
   bool operator!=(const ParseDiagnostic &O) const { return !(*this == O); }
 };

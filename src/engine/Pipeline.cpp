@@ -112,6 +112,7 @@ flap::compileFlapMulti(std::shared_ptr<GrammarDef> Def,
   if (!F)
     return Err("fuse(" + Def->Name + "): " + F.error());
   Out.F = F.take();
+  Out.F.Entries = Starts;
   Out.Times.FuseMs = W.millis();
 
   W.reset();

@@ -38,9 +38,7 @@
 /// an empty window suspends *on the dispatch byte*: the parked register
 /// file is the entry state itself, and resuming simply re-enters the
 /// general kernel (which subsumes the dispatch classification byte by
-/// byte). FLAP_NO_DISPATCH compiles scanEnter down to the pre-dispatch
-/// entry path (scanBegin + scanCore) as a build-level differential
-/// reference.
+/// byte).
 ///
 /// The Final flag is a template parameter so a whole-buffer
 /// instantiation folds every More path away. Note the perf-gated
@@ -148,8 +146,7 @@ enum class ScanOutcome : uint8_t { Match, Fail, More };
 ///   - a transition into the terminal-accept tier decides the match
 ///     without probing the next byte (no continuation exists), and a
 ///     self-loop run in the pure-accepting tier ends the lexeme at the
-///     run's end — both are register compares on the dispatch-tier id
-///     (compiled away under FLAP_NO_DISPATCH);
+///     run's end — both are register compares on the dispatch-tier id;
 ///   - a finished lexeme whose best state is in the self-skip tier is F2
 ///     whitespace — the machine would select a continuation that rescans
 ///     this same nonterminal, so the scan restarts in place instead of
@@ -171,10 +168,8 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
                             ScanState &St) {
   const int32_t NumSelfSkip = Tr.SelfSkip;
   const int32_t NumAccept = Tr.Accept;
-#if !defined(FLAP_NO_DISPATCH)
   const int32_t NumTermAcc = Tr.TermAcc;
   const int32_t NumPureAcc = Tr.PureAcc;
-#endif
   while (I < Len) {
     typename Tab::Cell Next =
         T[Cur * 256 + static_cast<unsigned char>(S[I])];
@@ -200,7 +195,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
       if (static_cast<int32_t>(Cur) < NumAccept) {
         Bs = static_cast<int32_t>(Cur);
         BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
         // Pure accepting run: nothing leaves the run but death, so the
         // run's end is the longest match — unless the window ended
         // mid-run (not Final), where one more byte could extend it.
@@ -210,7 +204,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
           St = {Start, Cur, Bs, Base, BestEnd, I};
           return ScanOutcome::Match;
         }
-#endif
       }
       continue;
     }
@@ -218,7 +211,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
     if (static_cast<int32_t>(Cur) < NumAccept) {
       Bs = static_cast<int32_t>(Cur);
       BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
       // Terminal accept: no continuation exists, the match is decided
       // without probing the next byte's transition (window-independent).
       if (static_cast<uint32_t>(Cur - static_cast<uint32_t>(NumSelfSkip)) <
@@ -226,7 +218,6 @@ inline ScanOutcome scanCore(const typename Tab::Cell *T, const SkipSet *Skip,
         St = {Start, Cur, Bs, Base, BestEnd, I};
         return ScanOutcome::Match;
       }
-#endif
     }
   }
   // Window exhausted.
@@ -272,7 +263,6 @@ template <typename Tab, bool Final>
 inline ScanOutcome scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
                              Tiers Tr, uint32_t Start, size_t Pos,
                              const char *S, size_t Len, ScanState &St) {
-#if !defined(FLAP_NO_DISPATCH)
   for (;;) {
     if (Pos >= Len) {
       St = scanBegin(Start, Pos);
@@ -333,10 +323,6 @@ inline ScanOutcome scanEnter(const typename Tab::Cell *T, const SkipSet *Skip,
                                 static_cast<uint32_t>(Ds), Bs0, Pos,
                                 Bs0 >= 0 ? I : Pos, I, S, Len, St);
   }
-#else
-  St = scanBegin(Start, Pos);
-  return scanStep<Tab, Final>(T, Skip, Tr, St, S, Len);
-#endif
 }
 
 } // namespace scankernel

@@ -22,19 +22,15 @@ StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
     : M(&Machine), StartNt(Opts.Start == NoNt ? Machine.Start : Opts.Start),
       User(Opts.User), Recognize(Opts.Recognize),
       EventMode(!Opts.Recognize && Opts.Events),
-      RefActions(Opts.RefActions), RecoverMode(Opts.Recover),
+      RecoverMode(Opts.Recover),
       MaxErrors(Opts.MaxErrors ? Opts.MaxErrors : 1),
       TrackRetain(!Opts.Recognize && !EventMode && Machine.Actions &&
                   Machine.Actions->readsInput()) {
-  assert(StartNt < M->Nts.size() && "entry nonterminal out of range");
-  // A ValueFree entry's value was compiled away by dead-token elision
-  // (parseFrom falls back to the legacy loop for this; the streaming
-  // machine has no unrewritten path, so fail the stream up front
-  // instead of silently yielding no value).
-  if (!Recognize && M->Nts[StartNt].ValueFree) {
-    ErrMsg = "entry nonterminal's value was compiled away by dead-token "
-             "elision; use parseLegacyFrom (or recognize mode) for this "
-             "entry point";
+  // The whole-buffer entry check (the stream's length is checked per
+  // feed): a ValueFree entry fails the stream up front instead of
+  // silently yielding no value.
+  if (const char *Why = M->refusal(StartNt, {}, /*NeedsValue=*/!Recognize)) {
+    ErrMsg = Why;
     Ph = Phase::Fail;
     return;
   }
@@ -42,7 +38,7 @@ StreamParser::StreamParser(const CompiledParser &Machine, StreamOptions Opts)
 }
 
 void StreamParser::reset() {
-  if (!Recognize && M->Nts[StartNt].ValueFree)
+  if (M->refusal(StartNt, {}, /*NeedsValue=*/!Recognize))
     return; // keep the constructor's deliberate Fail state
   Ph = Phase::Run;
   Buf.clear();
@@ -83,31 +79,14 @@ void StreamParser::reset() {
 
 inline void StreamParser::applyOp(const MicroOp &Op, ActionId Act,
                                   ParseContext &Ctx) {
-  if (!TrackRetain && !RefActions) {
-    // Fast mode — the same shared dispatch as the whole-buffer loop
-    // (every caller guarantees an MSlow op carries its ActionId in Imm;
-    // see applyActionId). No action in this grammar reads lexeme text,
-    // so the window never needs to cover argument spans: skip watermark
+  // Both modes share the whole-buffer loop's dispatch: every caller
+  // guarantees an MSlow op carries its ActionId in Imm (see
+  // applyActionId).
+  if (!TrackRetain) {
+    // Fast mode: no action in this grammar reads lexeme text, so the
+    // window never needs to cover argument spans — skip watermark
     // bookkeeping wholesale (ROADMAP follow-up (a)).
     Values.applyPooled(Op, *M->Actions, Ctx);
-    return;
-  }
-  // Execute honoring the mode. Rewritten (token-elided) occurrences have
-  // no boxed equivalent of their arity, so they stay on the tagged path
-  // even under RefActions — the reference suite covers them through
-  // parseLegacy, which runs the unrewritten symbol stream.
-  auto Exec = [&] {
-    if (RefActions && !(Op.Flags & MicroOp::FRewritten)) {
-      const Action &A = M->Actions->get(Act);
-      Values.applyRef(A, M->Actions->ref(Act), Ctx);
-    } else if (Op.K != MicroOp::MSlow) {
-      Values.applyMicroOp(Op, Ctx);
-    } else {
-      Values.apply(M->Actions->get(Act), Ctx);
-    }
-  };
-  if (!TrackRetain) {
-    Exec();
     return;
   }
   // Watermark of the result: tokens among the popped arguments (or
@@ -128,7 +107,7 @@ inline void StreamParser::applyOp(const MicroOp &Op, ActionId Act,
     Min = std::min(Min, Retain.back().W);
     Retain.pop_back();
   }
-  Exec();
+  Values.applyPooled(Op, *M->Actions, Ctx);
   NumVals = NewLen + 1;
   if (Min != NoRetain) {
     const Value &R = Values.data()[NewLen];
@@ -142,8 +121,8 @@ inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
   if (Op.K == MicroOp::MSlow)
     Op.Imm = static_cast<int64_t>(A); // the table's MSlow ops carry no
                                       // ActionId (only pool occurrences
-                                      // do); applyOp's fast path
-                                      // dispatches through Imm
+                                      // do); applyOp dispatches
+                                      // through Imm
   applyOp(Op, A, Ctx);
 }
 
@@ -156,8 +135,7 @@ inline void StreamParser::applyActionId(ActionId A, ParseContext &Ctx) {
 
 /// Value mode: token pushes + pooled micro-op dispatch, with the
 /// streaming extras the whole-buffer ValueSink does not need — retain
-/// watermark bookkeeping and the RefActions differential path, both
-/// routed through StreamParser::applyOp.
+/// watermark bookkeeping, routed through StreamParser::applyOp.
 struct StreamParser::VSink {
   static constexpr bool Markers = true;
   static constexpr bool Enters = false;
@@ -185,7 +163,7 @@ struct StreamParser::VSink {
   }
 
   void eps(NtId, int32_t Chain) {
-    if (!SP.TrackRetain && !SP.RefActions) {
+    if (!SP.TrackRetain) {
       // The same pre-fused block as the whole-buffer loop — literally:
       // one shared implementation (engine/Sink.h).
       runEpsProgram(*SP.M, Chain, SP.Values, Ctx);
@@ -622,7 +600,7 @@ StreamStatus StreamParser::feed(std::string_view Chunk) {
   // of letting absolute offsets wrap (the same guard discipline as the
   // packed-symbol widths in compileFused).
   if (WinBase + Buf.size() + Chunk.size() > uint64_t(UINT32_MAX)) {
-    ErrMsg = "stream exceeds the 32-bit offset space (4 GiB)";
+    ErrMsg = OffsetSpaceExceededMsg;
     releaseAfterError(WinBase + Buf.size());
     return StreamStatus::Error;
   }

@@ -97,11 +97,6 @@ struct StreamOptions {
   /// that value mode would legitimately retain back to its opening
   /// delimiter. take() yields unit on success.
   bool Events = false;
-  /// Runs every action through the retained std::function reference
-  /// path (ActionTable::ref) with heap-allocated values instead of the
-  /// tagged switch dispatch. Differential testing only
-  /// (tests/ActionDispatchTest.cpp) — slow.
-  bool RefActions = false;
   /// Sync-token error recovery — the streaming analogue of
   /// CompiledParser::parseRecover, with byte-identical diagnostics (the
   /// recovery differential suite compares the ParseDiagnostic lists at
@@ -259,10 +254,10 @@ private:
   /// its action (Resync: parsing re-enters at the sync point;
   /// SkipToEnd: the stream completes) and Ph has left Resync.
   bool stepResync(bool Final);
-  /// Runs one marker occurrence (a PackedPool op), honoring the mode:
-  /// tagged dispatch, reference std::function dispatch, and/or retain
-  /// watermark bookkeeping. \p Act is the originating action
-  /// (OpActs[idx] for pool occurrences).
+  /// Runs one marker occurrence (a PackedPool op) through the tagged
+  /// dispatch, with retain watermark bookkeeping when the grammar reads
+  /// lexeme text. \p Act is the originating action (OpActs[idx] for
+  /// pool occurrences); it supplies an MSlow action's full arity.
   inline void applyOp(const MicroOp &Op, ActionId Act, ParseContext &Ctx);
   /// Same for a raw action id (ε-chain entries are not pool indexed).
   inline void applyActionId(ActionId A, ParseContext &Ctx);
@@ -286,7 +281,6 @@ private:
   void *User;
   bool Recognize;
   bool EventMode;
-  bool RefActions;
   bool RecoverMode;
   size_t MaxErrors; ///< normalized: at least 1
   /// False when no registered action reads lexeme text

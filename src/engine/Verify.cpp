@@ -723,8 +723,8 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
   //===------------------------------------------------------------===//
   // OpPool micro-ops: valid kinds, in-range argument selectors, MSlow
   // immediates carrying their ActionId, and — for occurrences dead-token
-  // elision did not rewrite — exact agreement with the action table's
-  // own micro projection.
+  // elision did not rewrite (same arity as their action) — exact
+  // agreement with the action table's own micro projection.
   //===------------------------------------------------------------===//
   bool OpsOk = OpParOk;
   if (OpParOk && ActsOk)
@@ -779,10 +779,13 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
                        "action id %d",
                        static_cast<long long>(Op.Imm), Act));
       }
-      if (!(Op.Flags & MicroOp::FRewritten)) {
-        MicroOp Ref = M.Actions->micro()[Act];
-        bool Same = Op.K == Ref.K && Op.Arity == Ref.Arity &&
-                    Op.Sel == Ref.Sel && Op.Sel2 == Ref.Sel2 &&
+      // Dead-token elision only compiles arguments out: an occurrence
+      // keeping its action's arity is unrewritten and must equal the
+      // action's micro projection exactly.
+      MicroOp Ref = M.Actions->micro()[Act];
+      if (Op.Arity == Ref.Arity) {
+        bool Same = Op.K == Ref.K && Op.Sel == Ref.Sel &&
+                    Op.Sel2 == Ref.Sel2 &&
                     (Op.K == MicroOp::MSlow || Op.Imm == Ref.Imm);
         if (!C.expect(Same)) {
           OpsOk = false;
@@ -791,13 +794,12 @@ VerifyReport flap::verifyCompiledParser(const CompiledParser &M,
                          "%d's micro projection",
                          Act));
         }
-      } else if (!C.expect(Op.Arity <=
-                           M.Actions->micro()[Act].Arity)) {
+      } else if (!C.expect(Op.Arity < Ref.Arity)) {
         OpsOk = false;
         C.error(format("OpPool[%zu]", I), -1, -1,
                 format("rewritten arity %u exceeds the original arity "
                        "%u",
-                       Op.Arity, M.Actions->micro()[Act].Arity));
+                       Op.Arity, Ref.Arity));
       }
     }
 

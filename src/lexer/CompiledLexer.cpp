@@ -186,7 +186,6 @@ inline int32_t lexScan(const Cell *T, Cell DeadV, const SkipSet *SkipTab,
   int32_t BestState = -1;
   size_t BestEnd = Pos, I = Pos;
   uint32_t State = Start;
-#if !defined(FLAP_NO_DISPATCH)
   {
     // First-byte dispatch: the start state's row classifies the entry.
     Cell D = T[Start * 256 + static_cast<unsigned char>(S[Pos])];
@@ -213,7 +212,6 @@ inline int32_t lexScan(const Cell *T, Cell DeadV, const SkipSet *SkipTab,
       BestEnd = I;
     }
   }
-#endif
   while (I < N) {
     Cell Next = T[State * 256 + static_cast<unsigned char>(S[I])];
     if (Next == DeadV)
@@ -226,11 +224,9 @@ inline int32_t lexScan(const Cell *T, Cell DeadV, const SkipSet *SkipTab,
       if (static_cast<int32_t>(State) < NumAccept) {
         BestState = static_cast<int32_t>(State);
         BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
         if (static_cast<uint32_t>(State - static_cast<uint32_t>(NumTerm)) <
             static_cast<uint32_t>(NumPureRun - NumTerm))
           break; // pure run: nothing leaves it but death
-#endif
       }
       continue;
     }
@@ -238,10 +234,8 @@ inline int32_t lexScan(const Cell *T, Cell DeadV, const SkipSet *SkipTab,
     if (static_cast<int32_t>(State) < NumAccept) {
       BestState = static_cast<int32_t>(State);
       BestEnd = I;
-#if !defined(FLAP_NO_DISPATCH)
       if (static_cast<int32_t>(State) < NumTerm)
         break; // terminal: no continuation exists
-#endif
     }
   }
   BestEndOut = BestEnd;

@@ -1,4 +1,4 @@
-//===- tests/ActionDispatchTest.cpp - Tagged vs reference dispatch -------------===//
+//===- tests/ActionDispatchTest.cpp - Tagged dispatch vs the interpreter ------===//
 //
 // Part of flap-cpp, a C++ reproduction of "flap: A Deterministic Parser
 // with Fused Lexing" (PLDI 2023).
@@ -8,18 +8,20 @@
 /// Differential suite for the devirtualized semantic-action path. The
 /// tagged micro-op dispatch (plus dead-token elision, pre-fused ε-chains
 /// and the arena value pool) must be observationally identical to the
-/// retained legacy std::function reference path:
+/// Fig. 9 interpreter (parseFusedInterp: the unrewritten symbol stream
+/// through ValueStack::apply, with heap values):
 ///
 ///   - whole buffer: CompiledParser::parse (tagged, elided, pooled) vs
-///     CompiledParser::parseLegacy (boxed callables, unrewritten symbol
-///     stream, heap values) — byte-identical Value trees and error
-///     strings;
-///   - streaming: StreamParser in default mode vs RefActions mode vs the
-///     whole-buffer result, across split points (the StreamDiffTest
-///     driver shape), whole-buffer and chunked.
+///     the interpreter — the same verdict, structurally equal Value
+///     trees and the same failure offset;
+///   - streaming: StreamParser vs the interpreter and vs the whole-buffer
+///     error string, across split points (the StreamDiffTest driver
+///     shape), whole-buffer and chunked.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "FailSite.h"
+#include "engine/FusedInterp.h"
 #include "engine/Pipeline.h"
 #include "engine/Serve.h"
 #include "engine/Stream.h"
@@ -54,15 +56,18 @@ struct DispatchRig {
     return C.get();
   }
 
-  /// Streams \p In cut at \p Cuts, through the tagged or the reference
-  /// action path.
+  /// The oracle's result on \p In: the Fig. 9 interpreter.
+  Result<Value> interp(std::string_view In) {
+    std::shared_ptr<void> C;
+    return parseFusedInterp(*Def->Re, P.F, Def->L->Actions, In, fresh(C));
+  }
+
+  /// Streams \p In cut at \p Cuts.
   Result<Value> streamParse(std::string_view In,
-                            const std::vector<size_t> &Cuts,
-                            bool RefActions) {
+                            const std::vector<size_t> &Cuts) {
     std::shared_ptr<void> C;
     StreamOptions O;
     O.User = fresh(C);
-    O.RefActions = RefActions;
     StreamParser SP(P.M, O);
     size_t Prev = 0;
     for (size_t Cut : Cuts) {
@@ -74,33 +79,31 @@ struct DispatchRig {
     return SP.take();
   }
 
-  /// Tagged vs reference, whole-buffer and streamed at \p Cuts: same
-  /// verdict, byte-identical values (structural ==), identical error
-  /// strings.
-  void checkAll(std::string_view In, const std::vector<size_t> &Cuts) {
-    std::shared_ptr<void> C1, C2;
+  /// Tagged whole-buffer and streamed (cut at \p Cuts) parses against
+  /// the interpreter's result \p Spec on the same input: same verdict,
+  /// structurally equal values, the interpreter's failure site, and one
+  /// error string for whole-buffer and streamed.
+  void checkAll(std::string_view In, const Result<Value> &Spec,
+                const std::vector<size_t> &Cuts) {
+    std::shared_ptr<void> C;
     ParseScratch Scratch;
-    Result<Value> Tagged = P.M.parse(In, Scratch, fresh(C1));
-    Result<Value> Ref = P.M.parseLegacy(In, fresh(C2));
-    ASSERT_EQ(Tagged.ok(), Ref.ok())
-        << Def->Name << ": tagged vs reference verdict on '" << In << "'";
+    Result<Value> Tagged = P.M.parse(In, Scratch, fresh(C));
+    ASSERT_EQ(Tagged.ok(), Spec.ok())
+        << Def->Name << ": tagged vs interpreter verdict on '" << In << "'";
     if (Tagged.ok())
-      EXPECT_EQ(*Tagged, *Ref) << Def->Name << " value drift on '" << In
-                               << "'";
+      EXPECT_EQ(*Tagged, *Spec) << Def->Name << " value drift on '" << In
+                                << "'";
     else
-      EXPECT_EQ(Tagged.error(), Ref.error()) << Def->Name;
+      EXPECT_EQ(failSite(Tagged.error()), failSite(Spec.error()))
+          << Def->Name << ": '" << Tagged.error() << "' vs '"
+          << Spec.error() << "'";
 
-    Result<Value> StrTag = streamParse(In, Cuts, /*RefActions=*/false);
-    Result<Value> StrRef = streamParse(In, Cuts, /*RefActions=*/true);
-    ASSERT_EQ(StrTag.ok(), Tagged.ok()) << Def->Name << " (streamed)";
-    ASSERT_EQ(StrRef.ok(), Tagged.ok()) << Def->Name << " (streamed ref)";
-    if (Tagged.ok()) {
-      EXPECT_EQ(*StrTag, *Tagged) << Def->Name << " streamed tagged";
-      EXPECT_EQ(*StrRef, *Tagged) << Def->Name << " streamed reference";
-    } else {
-      EXPECT_EQ(StrTag.error(), Tagged.error()) << Def->Name;
-      EXPECT_EQ(StrRef.error(), Tagged.error()) << Def->Name;
-    }
+    Result<Value> Streamed = streamParse(In, Cuts);
+    ASSERT_EQ(Streamed.ok(), Spec.ok()) << Def->Name << " (streamed)";
+    if (Streamed.ok())
+      EXPECT_EQ(*Streamed, *Spec) << Def->Name << " streamed value";
+    else
+      EXPECT_EQ(Streamed.error(), Tagged.error()) << Def->Name;
   }
 };
 
@@ -110,8 +113,9 @@ TEST(ActionDispatchTest, WholeBufferAndChunkedOnAllGrammars) {
     DispatchRig R(Def);
     for (uint64_t Seed : {5u, 19u}) {
       Workload W = genWorkload(Def->Name, Seed, 2500 + Seed * 500);
+      const Result<Value> Spec = R.interp(W.Input);
       // Whole buffer, plus random multi-way chunkings.
-      R.checkAll(W.Input, {});
+      R.checkAll(W.Input, Spec, {});
       for (int Round = 0; Round < 4; ++Round) {
         std::vector<size_t> Cuts;
         size_t At = 0;
@@ -120,7 +124,7 @@ TEST(ActionDispatchTest, WholeBufferAndChunkedOnAllGrammars) {
           if (At < W.Input.size())
             Cuts.push_back(At);
         }
-        R.checkAll(W.Input, Cuts);
+        R.checkAll(W.Input, Spec, Cuts);
       }
     }
   }
@@ -128,12 +132,13 @@ TEST(ActionDispatchTest, WholeBufferAndChunkedOnAllGrammars) {
 
 TEST(ActionDispatchTest, EveryTwoWaySplitOnSmallInputs) {
   // The exhaustive split sweep of the StreamDiffTest driver, applied to
-  // the tagged-vs-reference comparison.
+  // the tagged-vs-interpreter comparison.
   for (auto &Def : allBenchmarkGrammars()) {
     DispatchRig R(Def);
     Workload W = genWorkload(Def->Name, 23, 220);
+    const Result<Value> Spec = R.interp(W.Input);
     for (size_t Cut = 0; Cut <= W.Input.size(); ++Cut)
-      R.checkAll(W.Input, {Cut});
+      R.checkAll(W.Input, Spec, {Cut});
   }
 }
 
@@ -156,17 +161,18 @@ TEST(ActionDispatchTest, ErrorStringsIdenticalOnCorruptedInputs) {
         In.insert(At, 1 + Rand.below(2), "(){}[]\"!,;"[Rand.below(10)]);
         break;
       }
+      const Result<Value> Spec = R.interp(In);
       for (size_t Cut = 0; Cut <= In.size(); Cut += 5)
-        R.checkAll(In, {Cut});
+        R.checkAll(In, Spec, {Cut});
     }
   }
 }
 
 TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
   // The TokenInt and MaxAccum micro-op kinds (the devirtualized ppm
-  // per-sample path) against the std::function reference path and the
-  // legacy loop, whole-buffer and at every 2-way split: the packed
-  // count+max fold must come out bit-identical everywhere.
+  // per-sample path) against the interpreter, whole-buffer and streamed
+  // at every 2-way split: the packed count+max fold must come out
+  // bit-identical everywhere.
   auto Def = std::make_shared<GrammarDef>("stats");
   Lang &L = *Def->L;
   TokenId Num = Def->Lexer->rule("[0-9]+", "num");
@@ -176,9 +182,10 @@ TEST(ActionDispatchTest, TokenIntAndMaxAccumAgreeWithReferences) {
   for (const std::string In :
        {"", "7", "0", "1 2 3", "9 8 7 6 5", "40 2 40", "007 3",
         "4294967 1 4294967"}) {
-    R.checkAll(In, {});
+    const Result<Value> Spec = R.interp(In);
+    R.checkAll(In, Spec, {});
     for (size_t Cut = 0; Cut <= In.size(); ++Cut)
-      R.checkAll(In, {Cut});
+      R.checkAll(In, Spec, {Cut});
   }
   // Unpack semantics: count in the low 32 bits, max in the high 32.
   Result<Value> V = R.P.M.parse("3 1 4 1 5");
@@ -228,7 +235,7 @@ TEST(ActionDispatchTest, PooledValuesEscapeTheirScratch) {
         Def = G;
     DispatchRig R(Def);
     Workload W = genWorkload(Name, 31, 1500);
-    Result<Value> Ref = R.P.M.parseLegacy(W.Input);
+    Result<Value> Ref = R.interp(W.Input);
     ASSERT_TRUE(Ref.ok()) << Ref.error();
     Value Escaped;
     {
@@ -277,20 +284,43 @@ size_t chainDepth(const Value &V) {
 }
 
 TEST(ActionDispatchTest, DeepValuesTearDownWithoutRecursion) {
-  // Dropping a depth-10^6 structure must neither recurse per level (the
-  // stack would overflow) nor allocate. Built by a grammar action into
-  // the parse's pool, and by hand on the heap as nested pairs and lists.
+  // Dropping, comparing and printing a depth-10^6 structure must not
+  // recurse per level (the stack would overflow), and dropping it must
+  // not allocate. Built by a grammar action into the parse's pool, and
+  // by hand on the heap as nested pairs and lists. EXPECT_TRUE, not
+  // EXPECT_EQ: a failure must not try to print the values.
   constexpr size_t Depth = 1000000;
   DispatchRig R(makeChainGrammar());
   {
     Result<Value> V = R.P.M.parse(std::string(Depth, 'a'));
     ASSERT_TRUE(V.ok()) << V.error();
     EXPECT_EQ(chainDepth(*V), Depth);
+    const Value Twin = heapChain(Depth);
+    EXPECT_TRUE(*V == Twin);
+    EXPECT_FALSE(*V == heapChain(Depth - 1));
+    const std::string S = V->str();
+    EXPECT_EQ(S.compare(0, 30, "([tok:0@0-1] . ([tok:0@1-2] . "), 0);
+    const std::string Tail =
+        "[tok:0@999999-1000000] . ()" + std::string(Depth, ')');
+    ASSERT_GE(S.size(), Tail.size());
+    EXPECT_EQ(S.compare(S.size() - Tail.size(), Tail.size(), Tail), 0);
+    EXPECT_TRUE(S == Twin.str());
   }
   Value Heap = Value::unit();
   for (size_t I = 0; I < Depth; ++I)
     Heap = I % 2 ? Value::pair(Value::string("s"), std::move(Heap))
                  : Value::list({Value::integer(1), std::move(Heap)});
+  {
+    const Value Copy = Heap;
+    EXPECT_TRUE(Copy == Heap);
+    const std::string S = Heap.str();
+    EXPECT_EQ(S.compare(0, 20, "(\"s\" . [1 (\"s\" . [1 "), 0);
+    std::string Tail = "[1 ()]";
+    for (size_t I = 1; I < Depth; ++I)
+      Tail += I % 2 ? ')' : ']';
+    ASSERT_GE(S.size(), Tail.size());
+    EXPECT_EQ(S.compare(S.size() - Tail.size(), Tail.size(), Tail), 0);
+  }
   Heap = Value();
   EXPECT_TRUE(Heap.isUnit());
 }

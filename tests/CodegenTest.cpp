@@ -222,8 +222,8 @@ TEST(CodegenTest, EmitsEventEntryPointForAllBenchmarks) {
 
 TEST(CodegenTest, GeneratedEventDriverReplaysToLibraryValue) {
   // The generated event stream carries the *unrewritten* symbols (raw
-  // ActionIds, every pushed token — the stream the library's legacy
-  // reference loop runs), so replaying token pushes and action
+  // ActionIds, every pushed token — the stream the Fig. 9 interpreter
+  // runs), so replaying token pushes and action
   // applications in order must reproduce the library engines' value.
   for (const char *Name : {"sexp", "json"}) {
     std::shared_ptr<GrammarDef> Def;

@@ -12,13 +12,18 @@
 /// *gracefully* in compileFused — a silent wrap would corrupt every
 /// packed symbol — and the 8-bit/16-bit cutoff must sit exactly at 255
 /// states (a 256-state machine would alias state id 255 with Dead8).
+/// Token spans are uint32, so every entry point refuses an input longer
+/// than 4 GiB before it reads a byte.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Compile.h"
+#include "engine/Stream.h"
 #include "regex/Regex.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
 
 using namespace flap;
 
@@ -153,6 +158,83 @@ TEST(CompileLimitsTest, Trans8CutoffIsExactlyAtDead8Boundary) {
     EXPECT_TRUE(M->recognize(Input));
     EXPECT_FALSE(M->parse(Input + "a").ok());
   }
+}
+
+TEST(CompileLimitsTest, InputsPastTheOffsetSpaceAreRefusedBeforeTheScan) {
+  // 4 GiB + 1 bytes of address space that faults on any access: an
+  // entry point that read a single byte before its length check would
+  // crash the test instead of failing it.
+  const size_t Len = size_t(UINT32_MAX) + 2;
+  void *Mem = mmap(nullptr, Len, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (Mem == MAP_FAILED)
+    GTEST_SKIP() << "cannot reserve 4 GiB of address space";
+  const std::string_view Big(static_cast<const char *>(Mem), Len);
+
+  RegexArena Arena;
+  ActionTable Actions;
+  FusedGrammar F = literalGrammar(Arena, {"ab"});
+  Result<CompiledParser> R = compileFused(Arena, F, Actions);
+  ASSERT_TRUE(R.ok()) << R.error();
+  const CompiledParser &M = *R;
+  const std::string Msg = OffsetSpaceExceededMsg;
+  ParseScratch Scratch;
+  std::vector<ParseEvent> Evs;
+
+  EXPECT_EQ(M.parse(Big).error(), Msg);
+  EXPECT_EQ(M.parseFrom(M.Start, Big, Scratch).error(), Msg);
+  EXPECT_FALSE(M.recognize(Big));
+  EXPECT_EQ(M.parseEvents(M.Start, Big, Evs).error(), Msg);
+  EXPECT_EQ(M.parseEvents(M.Start, Big, Scratch, Evs).error(), Msg);
+  EXPECT_TRUE(Evs.empty());
+  const std::string_view Ins[] = {"ab", Big};
+  void *const Users[] = {nullptr, nullptr};
+  for (const std::vector<Result<Value>> &B :
+       {M.parseBatch(M.Start, Ins, 2, Scratch),
+        M.parseBatch(M.Start, Ins, Users, 2, Scratch)}) {
+    ASSERT_EQ(B.size(), 2u);
+    EXPECT_TRUE(B[0].ok()); // the batch goes on past a refused input
+    EXPECT_EQ(B[1].error(), Msg);
+  }
+
+  auto ExpectRefused = [&](const RecoveredParse &RP) {
+    ASSERT_EQ(RP.Errors.size(), 1u);
+    EXPECT_EQ(RP.Errors[0].K, ParseDiagnostic::Kind::Refused);
+    EXPECT_EQ(RP.Errors[0].Act, ParseDiagnostic::Action::Fatal);
+    EXPECT_EQ(RP.Errors[0].message(), Msg);
+    EXPECT_TRUE(RP.Truncated);
+    EXPECT_TRUE(RP.Values.empty());
+  };
+  ExpectRefused(M.parseRecover(Big, Scratch));
+  ExpectRefused(M.parseEventsRecover(M.Start, Big, Scratch, Evs));
+  ExpectRefused(M.recognizeRecover(M.Start, Big, Scratch));
+  std::vector<RecoveredParse> BR =
+      M.parseBatchRecover(M.Start, Ins, 2, Scratch);
+  ASSERT_EQ(BR.size(), 2u);
+  EXPECT_TRUE(BR[0].clean());
+  ExpectRefused(BR[1]);
+
+  std::vector<Value> Vals;
+  std::vector<ParseDiagnostic> Errs;
+  std::vector<RecordLogEntry> Log;
+  for (const RecordRun &RR :
+       {M.parseRecords(M.Start, Big, 0, Len, Scratch, Vals),
+        M.parseEventsRecords(M.Start, Big, 0, Len, Scratch, Evs),
+        M.recognizeRecords(M.Start, Big, 0, Len, Scratch),
+        M.parseRecordsRecover(M.Start, Big, 0, Len, Scratch, Vals, Errs,
+                              Log)}) {
+    EXPECT_EQ(RR.S, RecordRun::Stop::Error);
+    EXPECT_EQ(RR.ErrMsg, Msg);
+    EXPECT_EQ(RR.NumRecords, 0u);
+  }
+  EXPECT_TRUE(Vals.empty() && Errs.empty() && Log.empty() && Evs.empty());
+
+  // The streaming parser has always refused the same length per feed.
+  StreamParser SP(M);
+  EXPECT_EQ(SP.feed(Big), StreamStatus::Error);
+  EXPECT_EQ(SP.take().error(), Msg);
+
+  munmap(Mem, Len);
 }
 
 } // namespace

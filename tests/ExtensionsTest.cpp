@@ -74,6 +74,40 @@ TEST(MultiEntryTest, SharedMachineServesSeveralRoots) {
   EXPECT_GT(P->M.numStates(), 0);
 }
 
+TEST(MultiEntryTest, PureTokenEntryKeepsItsValue) {
+  // The list's select action ignores its closing bracket, so dead-token
+  // elision erases the bracket nonterminal's value when the list is the
+  // only root. Declared as a second root, the bracket keeps its value:
+  // the entry returns its token, through the same staged machine.
+  auto Def = std::make_shared<GrammarDef>("bracket");
+  Lang &L = *Def->L;
+  TokenId Num = Def->Lexer->rule("[0-9]+", "num");
+  TokenId Lb = Def->Lexer->rule("\\[", "lb");
+  TokenId Rb = Def->Lexer->rule("\\]", "rb");
+  Def->Lexer->skip(" ");
+  Px Close = L.tok(Rb);
+  Px List = L.keepLeft(L.keepRight(L.tok(Lb), L.star(L.tok(Num))), Close);
+
+  auto Single = compileFlapMulti(Def, {{"list", List}});
+  ASSERT_TRUE(Single.ok()) << Single.error();
+  bool Elided = false;
+  for (size_t N = 0; N < Single->M.Nts.size(); ++N)
+    Elided |= Single->M.Nts[N].ValueFree;
+  EXPECT_TRUE(Elided) << "the closing bracket should be value-free";
+
+  auto P = compileFlapMulti(Def, {{"list", List}, {"rb", Close}});
+  ASSERT_TRUE(P.ok()) << P.error();
+  // The root shares the list's bracket nonterminal, so nothing is
+  // value-free any more.
+  for (size_t N = 0; N < P->M.Nts.size(); ++N)
+    EXPECT_FALSE(P->M.Nts[N].ValueFree) << P->M.NtNames[N];
+  Result<Value> Tok = P->parseEntry("rb", " ]");
+  ASSERT_TRUE(Tok.ok()) << Tok.error();
+  EXPECT_EQ(*Tok, Value::token(Rb, 1, 2));
+  EXPECT_TRUE(P->parseEntry("list", "[1 2]").ok());
+  EXPECT_FALSE(P->parseEntry("rb", "[").ok());
+}
+
 TEST(MultiEntryTest, EntriesShareSubgrammars) {
   // The shared sub-expression normalizes once: the multi grammar is not
   // larger than the sum of two separate pipelines.

@@ -18,14 +18,14 @@
 ///     and recognition recovery paths, the batch path, and the streaming
 ///     parser at every split.
 ///   - The first diagnostic's message() reproduces the non-recovery
-///     error string verbatim (the legacy loop, parseFrom and the
-///     streaming parser all render through the same formatter).
+///     error string verbatim (parseFrom and the streaming parser both
+///     render through the same formatter).
 ///   - MaxErrors truncates identically everywhere; a grammar input with
 ///     no viable sync point yields SkipToEnd, not a phantom segment.
 ///
 /// The checked-in corrupted corpus (tests/corpus/) runs the same
-/// differential under every build preset (asan/nosimd/nodispatch
-/// included — the sync scan shares skipRun with the SIMD kernels).
+/// differential under every build preset (asan/tsan/nosimd included —
+/// the sync scan shares skipRun with the SIMD kernels).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,8 +120,8 @@ void expectSameRecovery(const RecoveredParse &A, const RecoveredParse &B,
 
 /// The tentpole differential on one corrupted input: structural error
 /// lists agree across every recovery path, the first diagnostic
-/// reproduces the legacy error string, and the recovered suffix equals
-/// a clean parse from the last sync point.
+/// reproduces the plain parse's error string, and the recovered suffix
+/// equals a clean parse from the last sync point.
 void checkOneInput(RecoveryRig &R, std::string_view In,
                    const std::string &What) {
   ParseScratch Scr;
@@ -455,8 +455,8 @@ TEST(RecoveryDiffTest, CheckedInCorpusRecoversUnderEveryPreset) {
   // The corrupted-input corpus (tests/corpus/): every file must recover
   // with at least one diagnostic, at least one delivered value, and
   // whole-buffer/streamed/batch agreement. The same test runs under the
-  // asan/nosimd/nodispatch presets, which swap the scan kernels under
-  // the resynchronization scan.
+  // asan/tsan/nosimd presets; nosimd swaps the scan kernels under the
+  // resynchronization scan.
 #ifndef FLAP_CORPUS_DIR
   GTEST_SKIP() << "FLAP_CORPUS_DIR not configured";
 #else

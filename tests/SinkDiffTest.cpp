@@ -401,7 +401,7 @@ TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
   // (NullSink) — but must report byte-identical structured diagnostics:
   // same offsets, line/column, expected sets, resync actions, same
   // truncation flag. And the first diagnostic's message() must equal
-  // the legacy error string of the non-recovery parse — the
+  // the error string of the non-recovery parse — the
   // single-formatter seam of engine/Diagnostic.h that replaced the
   // three printf copies.
   Rng Rand(47);
@@ -447,21 +447,57 @@ TEST(SinkDiffTest, RecoveryDiagnosticsIdenticalAcrossSinkPolicies) {
           << Def->Name << " round " << Round;
       if (!Plain.ok())
         EXPECT_EQ(Plain.error(), V.Errors[0].message())
-            << Def->Name << " legacy formatter drift";
+            << Def->Name << " formatter drift";
     }
   }
 }
 
 TEST(SinkDiffTest, ParseEventsRejectsValueFreeEntries) {
-  // A pure token nonterminal erased by dead-token elision cannot emit a
-  // replayable stream; the event API must refuse it like streaming does.
+  // A pure token nonterminal erased by dead-token elision has no value
+  // and no replayable event stream left: every value or event driver
+  // refuses it as a start symbol with the one shared message, while
+  // recognition still runs.
   SinkRig R(makeSexpGrammar());
   for (NtId N = 0; N < static_cast<NtId>(R.P.M.Nts.size()); ++N) {
     if (!R.P.M.Nts[N].ValueFree)
       continue;
     std::vector<ParseEvent> Evs;
     Status S = R.P.M.parseEvents(N, ")", Evs);
-    EXPECT_FALSE(S.ok());
+    ASSERT_FALSE(S.ok());
+    EXPECT_EQ(S.error(), ValueFreeEntryMsg);
+    EXPECT_TRUE(Evs.empty());
+
+    Result<Value> V = R.P.M.parseFrom(N, ")");
+    ASSERT_FALSE(V.ok());
+    EXPECT_EQ(V.error(), ValueFreeEntryMsg);
+
+    ParseScratch Scratch;
+    std::vector<Result<Value>> B =
+        R.P.M.parseBatch(N, {std::string_view(")"), ")"}, Scratch);
+    ASSERT_EQ(B.size(), 2u);
+    for (const Result<Value> &BV : B) {
+      ASSERT_FALSE(BV.ok());
+      EXPECT_EQ(BV.error(), ValueFreeEntryMsg);
+    }
+
+    StreamOptions O;
+    O.Start = N;
+    StreamParser SP(R.P.M, O);
+    EXPECT_EQ(SP.feed(")"), StreamStatus::Error);
+    Result<Value> SV = SP.take();
+    ASSERT_FALSE(SV.ok());
+    EXPECT_EQ(SV.error(), ValueFreeEntryMsg);
+
+    // The refusal names a live API, not a removed reference path.
+    EXPECT_EQ(std::string(ValueFreeEntryMsg).find("Legacy"),
+              std::string::npos);
+    EXPECT_NE(std::string(ValueFreeEntryMsg).find("compileFlapMulti"),
+              std::string::npos);
+
+    O.Recognize = true;
+    StreamParser Rec(R.P.M, O);
+    Rec.feed(")");
+    EXPECT_EQ(Rec.finish(), StreamStatus::Done);
     return; // one is enough
   }
   GTEST_SKIP() << "no ValueFree nonterminal in this machine";
